@@ -204,6 +204,8 @@ def discriminant_budget(n: int, d: int) -> DegreeReport:
     deg sqrt(Delta_d^sat) = d*C(N,2) - d*N*(n-1)/2.  Asserts the budget
     identity and the monomial count sum_mu multinomial = N.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     N = basis_size(n, d)
     mus = partitions(d, n)
     deg_det = d * math.comb(N, 2)

@@ -39,8 +39,8 @@ from .polycore import (
 from .polymatrix import (
     DimensionMismatch,
     PolyMatrix,
+    char_poly_coeffs,
     qmat_det,
-    qmat_identity,
     qmat_mul,
     qmat_rank,
 )
@@ -205,35 +205,16 @@ def membership_necessary(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -
 # -- spectral discriminants ---------------------------------------------------
 
 
-def _char_coeffs(A: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-    """Ascending exact coefficients [c_0, ..., c_m] of det(x*I - A)
-    (monic, c_m = 1), by the trace recursion."""
-    m = len(A)
-    if any(len(r) != m for r in A):
-        raise DimensionMismatch("characteristic polynomial needs a square matrix")
-    desc: list[Scalar] = [Fraction(1)]
-    M = qmat_identity(m)
-    for k in range(1, m + 1):
-        AM = qmat_mul(A, M)
-        c = Fraction(-sum(AM[i][i] for i in range(m)), k)
-        desc.append(c)
-        if k < m:
-            M = [[AM[i][j] + (c if i == j else 0) for j in range(m)]
-                 for i in range(m)]
-    desc.reverse()
-    return desc
-
-
 def delta_at(A0: Sequence[Sequence[Scalar]]) -> Scalar:
     """Discriminant of the characteristic polynomial of A0 — the product of
     squared eigenvalue differences; zero iff an eigenvalue repeats."""
-    return univariate_discriminant(_char_coeffs(A0))
+    return univariate_discriminant(char_poly_coeffs(A0))
 
 
 def delta_d_at(A0: Sequence[Sequence[Scalar]], d: int) -> Scalar:
     """Discriminant of the characteristic polynomial of the d-th symmetric
     power of A0."""
-    return univariate_discriminant(_char_coeffs(sym_power_scalar(A0, d)))
+    return univariate_discriminant(char_poly_coeffs(sym_power_scalar(A0, d)))
 
 
 # -- vanishing orders along lines ---------------------------------------------

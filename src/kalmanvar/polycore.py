@@ -546,53 +546,6 @@ class Polynomial:
                 out[k - (1 << sh)] = _demote(c * e)
         return Polynomial(u, out)
 
-    def restrict_to_line(self, base: Sequence[Scalar], direction: Sequence[Scalar]) -> "Polynomial":
-        """p(base + t*direction) as a polynomial in the single variable t."""
-        u = self.u
-        if len(base) != u.nvars or len(direction) != u.nvars:
-            raise ValueError("line vectors must match universe size")
-        ut = t_universe()
-        if not self.terms:
-            return Polynomial(ut, {})
-        m = u._mask
-        vm = self.var_maxes()
-        # per-variable lists of coefficient lists: pw[i][e] = coeffs of (b+t*g)^e
-        pw: list[list[list[Scalar]]] = []
-        for b, g, emax in zip(base, direction, vm):
-            rows = [[1]]
-            for _ in range(emax):
-                prev = rows[-1]
-                nxt = [0] * (len(prev) + 1)
-                for j, c in enumerate(prev):
-                    if c:
-                        nxt[j] += c * b
-                        nxt[j + 1] += c * g
-                rows.append(nxt)
-            pw.append(rows)
-        acc: dict[int, Scalar] = {}
-        shifts = u._shifts
-        for k, c in self.terms.items():
-            cur = [c]
-            for i, sh in enumerate(shifts):
-                e = (k >> sh) & m
-                if e:
-                    fac = pw[i][e]
-                    new = [0] * (len(cur) + len(fac) - 1)
-                    for j1, c1 in enumerate(cur):
-                        if c1:
-                            for j2, c2 in enumerate(fac):
-                                if c2:
-                                    new[j1 + j2] += c1 * c2
-                    cur = new
-            for j, cj in enumerate(cur):
-                if cj:
-                    v = acc.get(j, 0) + cj
-                    if v:
-                        acc[j] = v
-                    else:
-                        acc.pop(j, None)
-        return Polynomial(ut, {k: _demote(c) for k, c in acc.items() if c})
-
     # -- canonical form ---------------------------------------------------
 
     def canonical(self) -> "Polynomial":
@@ -746,66 +699,15 @@ def root_multiplicity_at_zero(p: Polynomial) -> int:
     return min((k >> sh) & m for k in p.terms)
 
 
-def _ring_zero_like(c):
-    return Polynomial(c.u, {}) if isinstance(c, Polynomial) else 0
-
-
-def _is_ring_zero(c):
-    return c.is_zero() if isinstance(c, Polynomial) else c == 0
-
-
-def _ring_exact_div(a, b):
-    if isinstance(a, Polynomial):
-        return a.exact_div(b)
-    return _demote(Fraction(a) / Fraction(b))
-
-
-def _bareiss_det_generic(rows):
-    """Fraction-free determinant over any exact commutative ring whose
-    elements support *, -, and exact division (ints/Fractions/Polynomials).
-    Consumes `rows` (list of lists)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        # pivot: first nonzero in column k at/below row k
-        piv = None
-        for i in range(k, n):
-            if not _is_ring_zero(rows[i][k]):
-                piv = i
-                break
-        if piv is None:
-            return _ring_zero_like(rows[0][0]) if isinstance(rows[0][0], Polynomial) else 0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pkk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            ri = rows[i]
-            rk = rows[k]
-            for j in range(k + 1, n):
-                v = pkk * ri[j] - rik * rk[j]
-                if prev is not None:
-                    v = _ring_exact_div(v, prev)
-                ri[j] = v
-            ri[k] = _ring_zero_like(pkk) if isinstance(pkk, Polynomial) else 0
-        prev = pkk
-    d = rows[n - 1][n - 1]
-    if sign < 0:
-        d = -d
-    return d
-
-
 def sylvester_resultant(u_coeffs: list, v_coeffs: list):
     """Resultant of two univariate polynomials given by coefficient lists
     (ascending degree, entries scalars or Polynomials), via the Sylvester
     matrix determinant."""
-    while len(u_coeffs) > 1 and _is_ring_zero(u_coeffs[-1]):
+    from .polymatrix import bareiss_det, qmat_det  # polymatrix imports this module
+
+    while len(u_coeffs) > 1 and not u_coeffs[-1]:
         u_coeffs = u_coeffs[:-1]
-    while len(v_coeffs) > 1 and _is_ring_zero(v_coeffs[-1]):
+    while len(v_coeffs) > 1 and not v_coeffs[-1]:
         v_coeffs = v_coeffs[:-1]
     m = len(u_coeffs) - 1
     n = len(v_coeffs) - 1
@@ -828,7 +730,7 @@ def sylvester_resultant(u_coeffs: list, v_coeffs: list):
         rows.append([zero] * i + ud + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + vd + [zero] * (size - n - 1 - i))
-    return _bareiss_det_generic(rows)
+    return bareiss_det(rows, zero) if poly_mode else qmat_det(rows)
 
 
 def univariate_discriminant(u_coeffs):
@@ -840,18 +742,16 @@ def univariate_discriminant(u_coeffs):
     if isinstance(u_coeffs, Polynomial):
         u_coeffs = univariate_coeffs(u_coeffs)
     coeffs = list(u_coeffs)
-    while len(coeffs) > 1 and _is_ring_zero(coeffs[-1]):
+    while len(coeffs) > 1 and not coeffs[-1]:
         coeffs = coeffs[:-1]
     m = len(coeffs) - 1
     if m < 2:
         raise ValueError("discriminant needs degree >= 2")
-    if _is_ring_zero(coeffs[-1]):
-        raise ValueError("leading coefficient must be nonzero")
     dcoeffs = [c * (i + 1) if isinstance(c, Polynomial) else _demote(c * (i + 1))
                for i, c in enumerate(coeffs[1:])]
     res = sylvester_resultant(coeffs, dcoeffs)
     lc = coeffs[-1]
-    val = _ring_exact_div(res, lc)
+    val = res.exact_div(lc) if isinstance(res, Polynomial) else _demote(Fraction(res) / lc)
     if (m * (m - 1) // 2) % 2:
         val = -val
     return val

@@ -1,10 +1,11 @@
 """Matrices with polynomial entries, plus exact rational linear algebra.
 
-Two independent exact determinant algorithms are provided: fraction-free
-Bareiss elimination (pivot = fewest-term nonzero entry) and a memoized
-cofactor expansion over column subsets.  They are cross-checked in the
-test suite; either may be selected explicitly, and `det()` picks a
-sensible default per matrix.
+Every exact elimination runs through one fraction-free core, `bareiss`
+(Bareiss 1968): polynomial determinants with effectively univariate
+entries, and the scalar determinant, rank and inverse.  Multivariate
+polynomial determinants use a memoized cofactor expansion over column
+subsets instead, because Bareiss' minor cross-products balloon there long
+before the division.  The test suite cross-checks the two.
 
 Scalar (rational) matrices are handled by the `qmat_*` helpers working on
 plain lists of lists of int/Fraction.
@@ -12,6 +13,8 @@ plain lists of lists of int/Fraction.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -164,84 +167,25 @@ class PolyMatrix:
 
     # -- determinants -----------------------------------------------------
 
-    def det(self, method: str = "auto") -> Polynomial:
+    def det(self) -> Polynomial:
         """Exact determinant of a square polynomial matrix."""
         if not self.is_square():
             raise NonSquareMatrix(f"{self.nrows}x{self.ncols}")
-        n = self.nrows
-        if n == 0:
+        if self.nrows == 0:
             return Polynomial.const(self.u, 1)
-        if method == "auto":
-            # Bareiss excels on scalar-like entries (constants, one
-            # variable); on multivariate polynomial entries its minor
-            # cross-products balloon long before the division, so the
-            # memoized cofactor expansion is the safe default there.
-            used = [0] * self.u.nvars
-            for r in self.rows:
-                for e in r:
-                    for i, v in enumerate(e.var_maxes()):
-                        if v:
-                            used[i] = 1
-            method = "bareiss" if sum(used) <= 1 else "cofactor"
-        if method == "bareiss":
-            return self._det_bareiss()
-        if method == "cofactor":
+        # Bareiss excels on scalar-like entries (constants, one
+        # variable); on multivariate polynomial entries its minor
+        # cross-products balloon long before the division, so the
+        # memoized cofactor expansion runs there.
+        used = [0] * self.u.nvars
+        for r in self.rows:
+            for e in r:
+                for i, v in enumerate(e.var_maxes()):
+                    if v:
+                        used[i] = 1
+        if sum(used) > 1:
             return self._det_cofactor_dp()
-        raise ValueError(f"unknown method {method!r}")
-
-    def _det_bareiss(self) -> Polynomial:
-        n = self.nrows
-        u = self.u
-        zero = Polynomial.zero(u)
-        rows = [list(r) for r in self.rows]
-        # structural short-circuit: an all-zero row or column
-        for i in range(n):
-            if all(e.is_zero() for e in rows[i]):
-                return zero
-        for j in range(n):
-            if all(rows[i][j].is_zero() for i in range(n)):
-                return zero
-        sign = 1
-        prev: Polynomial | None = None
-        for k in range(n - 1):
-            # pivot: nonzero entry with fewest terms in the trailing block,
-            # ties broken by smallest (row, col)
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    e = rows[i][j]
-                    if e.terms:
-                        sz = len(e.terms)
-                        if best is None or sz < best[0]:
-                            best = (sz, i, j)
-                if best is not None and best[0] == 1:
-                    break
-            if best is None:
-                return zero
-            _, pi, pj = best
-            if pi != k:
-                rows[k], rows[pi] = rows[pi], rows[k]
-                sign = -sign
-            if pj != k:
-                for r in rows:
-                    r[k], r[pj] = r[pj], r[k]
-                sign = -sign
-            pkk = rows[k][k]
-            for i in range(k + 1, n):
-                ri = rows[i]
-                rik = ri[k]
-                rk = rows[k]
-                for j in range(k + 1, n):
-                    v = pkk * ri[j]
-                    if rik.terms and rk[j].terms:
-                        v = v - rik * rk[j]
-                    if prev is not None:
-                        v = v.exact_div(prev)
-                    ri[j] = v
-                ri[k] = zero
-            prev = pkk
-        d = rows[n - 1][n - 1]
-        return d if sign > 0 else -d
+        return bareiss_det([list(r) for r in self.rows], Polynomial.zero(self.u))
 
     def _det_cofactor_dp(self) -> Polynomial:
         """Memoized cofactor expansion: process rows sparsest-first and keep
@@ -286,32 +230,11 @@ class PolyMatrix:
         return d if perm_sign > 0 else -d
 
     def char_poly(self) -> list[Polynomial]:
-        """Coefficients [c_0, ..., c_N] (ascending, monic) of det(lambda*I - M),
-        by the trace-recursion scheme (exact in characteristic zero)."""
-        if not self.is_square():
-            raise NonSquareMatrix(f"{self.nrows}x{self.ncols}")
-        n = self.nrows
-        u = self.u
-        c = [Polynomial.zero(u) for _ in range(n + 1)]
-        c[n] = Polynomial.const(u, 1)
-        B = PolyMatrix.identity(u, n)
-        Mk = self
-        for k in range(1, n + 1):
-            Mk = self * B if k > 1 else self
-            tr = Polynomial.zero(u)
-            for i in range(n):
-                tr = tr + Mk.rows[i][i]
-            ck = tr.scale(Fraction(-1, k))
-            c[n - k] = ck
-            if k < n:
-                B = PolyMatrix(
-                    u,
-                    [
-                        [Mk.rows[i][j] + ck if i == j else Mk.rows[i][j] for j in range(n)]
-                        for i in range(n)
-                    ],
-                )
-        return c
+        """Coefficients [c_0, ..., c_N] (ascending, monic) of det(lambda*I - M);
+        see `char_poly_coeffs`."""
+        coeffs = char_poly_coeffs(self.rows)
+        coeffs[-1] = Polynomial.const(self.u, 1)
+        return coeffs
 
     def rank_at(self, point: Sequence[Scalar]) -> int:
         """Exact rank of the scalar matrix obtained by evaluation."""
@@ -361,60 +284,88 @@ def qmat_identity(n: int) -> list[list[Scalar]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def qmat_rank(A: Sequence[Sequence[Scalar]]) -> int:
-    rows = [[Fraction(x) for x in r] for r in A]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < nr and col < nc:
-        piv = None
-        for i in range(rank, nr):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
+def bareiss(rows: list[list], ncols: int | None = None) -> tuple[int, int]:
+    """Fraction-free Gaussian elimination (Bareiss 1968) of `rows`, in place.
+
+    Entries belong to an exact ring and support `*`, `-`, truthiness and
+    exact division: ints (divided with `//`) or Polynomials (`exact_div`).
+    Columns 0..ncols-1 (default: all) are eliminated in turn.  Each pivots
+    on its first nonzero entry at or below the current row, swapping rows
+    only; a column without one is skipped.  Every entry right of the pivot
+    column is updated, so extra columns ride along.
+
+    Returns the number of pivots (the rank of the eliminated columns) and
+    the sign of the row permutation.  Right of its pivot, row r then holds
+    (r+1) x (r+1) minors of the row-permuted matrix, so every division is
+    exact, and the last pivot of a nonsingular square matrix is its
+    determinant up to that sign.  Entries left of a row's pivot are not
+    cleared; callers read only the echelon part.
+    """
+    nrows = len(rows)
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    r = 0
+    sign = 1
+    prev = div = None
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, nr):
-            if rows[i][col]:
-                f = rows[i][col] / pv
-                ri, rr = rows[i], rows[rank]
-                for j in range(col, nc):
-                    ri[j] -= f * rr[j]
-        rank += 1
-        col += 1
-    return rank
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        rk = rows[r]
+        pv = rk[c]
+        tail = rk[c + 1:]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            a = ri[c]
+            new = [pv * x - a * y for x, y in zip(ri[c + 1:], tail)]
+            if prev is not None:
+                new = [div(v, prev) for v in new]
+            ri[c + 1:] = new
+        prev = pv
+        div = Polynomial.exact_div if isinstance(pv, Polynomial) else operator.floordiv
+        r += 1
+    return r, sign
+
+
+def bareiss_det(rows: list[list], zero):
+    """Determinant of a nonempty square matrix by `bareiss`, consuming
+    `rows`; `zero` is returned when the matrix is singular."""
+    rank, sign = bareiss(rows)
+    if rank < len(rows):
+        return zero
+    d = rows[-1][-1]
+    return d if sign > 0 else -d
+
+
+def _integer_rows(A: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
+    """The rows of A, each multiplied by the lcm of its denominators, and
+    those multipliers."""
+    rows, scales = [], []
+    for r in A:
+        m = math.lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (m // x.denominator) for x in r])
+        scales.append(m)
+    return rows, scales
+
+
+def qmat_rank(A: Sequence[Sequence[Scalar]]) -> int:
+    # scaling a row by a nonzero integer leaves the rank unchanged
+    return bareiss(_integer_rows(A)[0])[0]
 
 
 def qmat_det(A: Sequence[Sequence[Scalar]]) -> Scalar:
     n = len(A)
     if any(len(r) != n for r in A):
         raise NonSquareMatrix("scalar determinant needs a square matrix")
-    rows = [[Fraction(x) for x in r] for r in A]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if rows[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        pv = rows[k][k]
-        det *= pv
-        for i in range(k + 1, n):
-            if rows[i][k]:
-                f = rows[i][k] / pv
-                ri, rk = rows[i], rows[k]
-                for j in range(k, n):
-                    ri[j] -= f * rk[j]
-    return _demote(det)
+    if n == 0:
+        return 1
+    rows, scales = _integer_rows(A)
+    return _demote(Fraction(bareiss_det(rows, 0), math.prod(scales)))
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -425,27 +376,43 @@ def qmat_inv(A: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     n = len(A)
     if any(len(r) != n for r in A):
         raise NonSquareMatrix("inverse needs a square matrix")
-    aug = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)] for i, r in enumerate(A)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if aug[i][k]:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pv = aug[k][k]
-        aug[k] = [x / pv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                ak = aug[k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], ak)]
-    return [[_demote(x) for x in row[n:]] for row in aug]
+    # with D the row multipliers, (D A) X = D has the solution X = A^-1
+    rows, scales = _integer_rows(A)
+    aug = [r + [m if i == j else 0 for j in range(n)] for i, (r, m) in enumerate(zip(rows, scales))]
+    if bareiss(aug, n)[0] < n:
+        raise SingularMatrixError("matrix is singular")
+    # back-substitution on the upper triangle [U | B] that `bareiss` left
+    inv: list = [None] * n
+    for i in reversed(range(n)):
+        row = aug[i]
+        inv[i] = [Fraction(row[n + k] - sum(row[j] * inv[j][k] for j in range(i + 1, n)), row[i])
+                  for k in range(n)]
+    return [[_demote(x) for x in row] for row in inv]
 
 
 def qmat_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Scalar]:
     """Solve A x = b exactly (A square invertible)."""
     inv = qmat_inv(A)
     return qmat_vec(inv, b)
+
+
+def char_poly_coeffs(A: Sequence[Sequence]) -> list:
+    """Ascending coefficients [c_0, ..., c_m] of det(x*I - A), monic with
+    c_m = Fraction(1), by the trace recursion (exact in characteristic zero).
+
+    Entries may be scalars or Polynomials: the recursion only adds,
+    multiplies and scales by 1/k.
+    """
+    m = len(A)
+    if any(len(r) != m for r in A):
+        raise NonSquareMatrix("characteristic polynomial needs a square matrix")
+    desc = [Fraction(1)]
+    AM = A
+    for k in range(1, m + 1):
+        c = sum(AM[i][i] for i in range(m)) * Fraction(-1, k)
+        desc.append(c)
+        if k < m:
+            AM = qmat_mul(A, [[AM[i][j] + c if i == j else AM[i][j] for j in range(m)]
+                              for i in range(m)])
+    desc.reverse()
+    return desc

@@ -97,7 +97,7 @@ def conic_triple(f: Polynomial | None = None) -> TernaryQuadricTriple:
 def jacobian_poly(triple: TernaryQuadricTriple) -> Polynomial:
     """Determinant of the 3x3 matrix of x-partials; degree 3 in x."""
     rows = [[f.derivative(nm) for nm in X_NAMES] for f in triple]
-    return PolyMatrix(FULL_UNIVERSE, rows).det("cofactor")
+    return PolyMatrix(FULL_UNIVERSE, rows).det()
 
 
 def _x_coeff_row(p: Polynomial) -> list[Polynomial]:
@@ -127,7 +127,7 @@ def salmon_matrix(triple: TernaryQuadricTriple) -> PolyMatrix:
 def salmon_resultant(triple: TernaryQuadricTriple) -> Polynomial:
     """det B, canonically normalized; vanishes exactly on triples with a
     common projective zero."""
-    return salmon_matrix(triple).det("cofactor").canonical()
+    return salmon_matrix(triple).det().canonical()
 
 
 def g1_factor(f: Polynomial | None = None) -> Polynomial:

@@ -82,15 +82,6 @@ def _xp_mul(p: dict, q: dict, is_zero) -> dict:
     return {k: c for k, c in out.items() if not is_zero(c)}
 
 
-def _expand_monomial_rows(linear_forms: list[dict], exps: Sequence[int], is_zero, one) -> dict:
-    """Expand prod_i L_i^(e_i) where L_i are x-linear forms as x-keyed dicts."""
-    cur = {0: one}
-    for L, e in zip(linear_forms, exps):
-        for _ in range(e):
-            cur = _xp_mul(cur, L, is_zero)
-    return cur
-
-
 def _sym_power_rows(entry, n: int, d: int, zero, one, is_zero):
     """Shared core of sym_power: `entry(i, j)` yields the (i,j) ring element."""
     ux = x_universe(n)

@@ -54,12 +54,8 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) % (1 << 63)
 
 
-def _fmt(x) -> str:
-    return str(x)
-
-
 def _fmt_matrix(m) -> list[list[str]]:
-    return [[_fmt(x) for x in row] for row in m]
+    return [[str(x) for x in row] for row in m]
 
 
 def _rand_int(rng: random.Random) -> int:
@@ -409,7 +405,7 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
             "seed": seed,
             "mu": list(mu.parts),
             "V": _fmt_matrix(V),
-            "D": [_fmt(l) for l in lams],
+            "D": [str(l) for l in lams],
             "points": _fmt_matrix(vectors),
             "checks": {
                 "polarization_value": "0",
@@ -499,7 +495,7 @@ def special_locus_matrix(kind: str, n: int, seed: int = 0,
         A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
         cert = {
             "seed": seed, "kind": kind,
-            "V": _fmt_matrix(V), "D": [_fmt(l) for l in lams],
+            "V": _fmt_matrix(V), "D": [str(l) for l in lams],
             "checks": {"det_zero": qmat_det(A) == 0,
                        "rank": qmat_rank(A)},
         }
@@ -519,7 +515,7 @@ def special_locus_matrix(kind: str, n: int, seed: int = 0,
                    for i in range(n)]
         cert = {
             "seed": seed, "kind": kind,
-            "V": _fmt_matrix(V), "D": [_fmt(lam)] + [_fmt(l) for l in lams[1:]],
+            "V": _fmt_matrix(V), "D": [str(lam)] + [str(l) for l in lams[1:]],
             "checks": {
                 "eigenspace_rank": qmat_rank(shifted),
                 "not_diagonalizable": qmat_rank(shifted) == n - 1,

@@ -288,3 +288,10 @@ def test_csv_rejected_outside_table(capsys):
 def test_inhomogeneous_form_rejected(capsys):
     rc, _, err = run(capsys, ["kalman-det", "--f", "x1^2+x2"])
     assert rc == EXIT_PARSE
+
+
+def test_degrees_rejects_n_below_two(capsys):
+    rc, out, err = run(capsys, ["degrees", "--n", "1", "--d", "2"])
+    assert rc == EXIT_PARSE == 2
+    assert not out
+    assert "n must be at least 2" in err

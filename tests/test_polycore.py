@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import U2, U3, fractions, nonzero_fractions, polynomials, vectors
+from conftest import U2, U3, nonzero_fractions, polynomials, vectors
 from kalmanvar.polycore import (
     DivisionByZeroPolynomial,
     NotDivisible,
@@ -214,26 +214,6 @@ def test_degree_of_product_adds(p, q):
 @given(polynomials(U3, allow_zero=False), nonzero_fractions)
 def test_canonical_ignores_scaling(p, c):
     assert p.scale(c).canonical() == p.canonical()
-
-
-# -- line restriction -------------------------------------------------------------
-
-
-def test_restrict_to_line_oracle():
-    p = P("x1^2 - x2*x3")
-    base = (Fraction(1), Fraction(0), Fraction(0))
-    direction = (Fraction(0), Fraction(1), Fraction(1))
-    r = p.restrict_to_line(base, direction)
-    assert r.u.names == ("t",)
-    assert univariate_coeffs(r) == [1, 0, -1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(polynomials(U3), vectors(3), vectors(3), fractions)
-def test_restrict_then_evaluate(p, base, direction, tau):
-    r = p.restrict_to_line(tuple(base), tuple(direction))
-    moved = tuple(b + tau * w for b, w in zip(base, direction))
-    assert r.evaluate((tau,)) == p.evaluate(moved)
 
 
 # -- univariate helpers --------------------------------------------------------------

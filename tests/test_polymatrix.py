@@ -15,6 +15,7 @@ from kalmanvar.polymatrix import (
     NonSquareMatrix,
     PolyMatrix,
     SingularMatrixError,
+    bareiss_det,
     parse_matrix,
     qmat_det,
     qmat_identity,
@@ -84,10 +85,8 @@ def test_det_3x3_symbolic_oracle():
 def test_det_methods_named():
     m = PM("x1 | x2\nx3 | x1")
     d = m.det()
-    assert m.det(method="bareiss") == d
-    assert m.det(method="cofactor") == d
-    with pytest.raises(ValueError):
-        m.det(method="laplace-transform")
+    assert bareiss_det([list(r) for r in m.rows], Polynomial.zero(U3)) == d
+    assert m._det_cofactor_dp() == d
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,7 +99,7 @@ def test_det_methods_named():
 ))
 def test_bareiss_equals_cofactor(rows):
     m = PolyMatrix(U3, rows)
-    assert m.det(method="bareiss") == m.det(method="cofactor")
+    assert bareiss_det([list(r) for r in rows], Polynomial.zero(U3)) == m._det_cofactor_dp()
 
 
 @settings(max_examples=40, deadline=None)
