@@ -7,6 +7,7 @@ exact rational witness generation.
 
 from .polycore import (
     DivisionByZeroPolynomial,
+    ExponentOverflow,
     NotDivisible,
     Polynomial,
     PolynomialParseError,

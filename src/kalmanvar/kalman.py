@@ -22,7 +22,10 @@ partition.  Everything is exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +35,7 @@ from .polycore import (
     Polynomial,
     Scalar,
     ZeroPolynomial,
+    _demote,
     root_multiplicity_at_zero,
     t_universe,
     univariate_discriminant,
@@ -40,8 +44,8 @@ from .polymatrix import (
     DimensionMismatch,
     PolyMatrix,
     char_poly_coeffs,
+    _integer_rows,
     qmat_det,
-    qmat_mul,
     qmat_rank,
 )
 from .veronese import (
@@ -49,7 +53,7 @@ from .veronese import (
     basis_size,
     coeff_matrix,
     coeff_row,
-    polarize_value,
+    polarize,
     sym_power,
     sym_power_scalar,
 )
@@ -158,20 +162,35 @@ def kalman_matrix(inst: KalmanInstance, A: PolyMatrix) -> PolyMatrix:
 
 
 def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """kalman_matrix evaluated at a rational matrix, computed in scalar
-    arithmetic throughout (no symbolic detour)."""
+    """kalman_matrix evaluated at a rational matrix, computed in integer
+    arithmetic throughout (no symbolic detour).
+
+    With c the lcm of the denominators of A0, rho_d(c A0) = c^d rho_d(A0)
+    has integer entries, and so do the rows of C once each is multiplied by
+    the lcm s_j of its denominators.  Block i is iterated as the integer
+    rows s_j C_j rho_d(c A0)^i and divided back by s_j c^(d i), so entries
+    are the exact values of C rho_d(A0)^i (integral ones as ints).
+    """
     if len(A0) != inst.n or any(len(r) != inst.n for r in A0):
         raise DimensionMismatch(f"A0 must be {inst.n}x{inst.n}")
-    R = sym_power_scalar(A0, inst.d)
-    block = [list(r) for r in inst.C]
-    rows = [list(r) for r in block]
+    c = math.lcm(*(x.denominator for r in A0 for x in r))
+    cols = list(zip(*sym_power_scalar(
+        [[x.numerator * (c // x.denominator) for x in r] for r in A0], inst.d)))
+    block, scales = _integer_rows(inst.C)
+    rows = [list(r) for r in inst.C]
+    cd = c ** inst.d
     for _ in range(inst.N - inst.p):
-        block = qmat_mul(block, R)
-        rows.extend(list(r) for r in block)
+        block = [[sum(map(operator.mul, r, col)) for col in cols] for r in block]
+        scales = [s * cd for s in scales]
+        for r, s in zip(block, scales):
+            rows.append(r if s == 1 else [_demote(Fraction(x, s)) for x in r])
     return rows
 
 
-_DET_CACHE: dict[tuple, Polynomial] = {}
+# Least-recently-used determinants; one entry can hold ~700k terms (the
+# full conic det K_2), so only a few are kept.
+_DET_CACHE_SIZE = 8
+_DET_CACHE: OrderedDict[tuple, Polynomial] = OrderedDict()
 
 
 def kalman_det(f: Polynomial, n: int | None = None, d: int | None = None) -> Polynomial:
@@ -187,11 +206,14 @@ def kalman_det(f: Polynomial, n: int | None = None, d: int | None = None) -> Pol
     key = (fc.u.names, fc.to_text(), n, d)
     hit = _DET_CACHE.get(key)
     if hit is not None:
+        _DET_CACHE.move_to_end(key)
         return hit
     inst = KalmanInstance.from_form(fc, n, d)
     K = kalman_matrix(inst, PolyMatrix.generic(n))
     det = K.det().canonical()
     _DET_CACHE[key] = det
+    if len(_DET_CACHE) > _DET_CACHE_SIZE:
+        _DET_CACHE.popitem(last=False)
     return det
 
 
@@ -291,15 +313,16 @@ def _eigencolumns(V: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return [[V[i][j] for i in range(n)] for j in range(n)]
 
 
-def _tuple_values_nonzero(f: Polynomial, mus: Sequence[PartitionType],
+def _tuple_values_nonzero(polarizations: Sequence[tuple[int, Polynomial]],
                           cols: Sequence[Sequence[Scalar]]) -> bool:
-    """True iff every partition polarization of f is nonzero on every
-    ordered tuple of distinct eigenvector columns — the draw then lies on
-    no component of the determinant's vanishing locus."""
+    """True iff every partition polarization f_mu, given with its number of
+    blocks s, is nonzero on every ordered tuple of s distinct eigenvector
+    columns — the draw then lies on no component of the determinant's
+    vanishing locus."""
     n = len(cols)
-    for mu in mus:
-        for idx in itertools.permutations(range(n), mu.s):
-            if polarize_value(f, mu, [cols[i] for i in idx]) == 0:
+    for s, fmu in polarizations:
+        for idx in itertools.permutations(range(n), s):
+            if fmu.evaluate([x for i in idx for x in cols[i]]) == 0:
                 return False
     return True
 
@@ -402,6 +425,7 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
                            "certificate": {"cases": cases}})
 
     # nonvanishing at generic diagonalizable matrices away from all factors
+    polarizations = [(mu.s, polarize(f, mu)) for mu in mus]
     status = "pass"
     cases = []
     for j in range(trials):
@@ -413,7 +437,7 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
             for _ in range(RETRY_BUDGET):
                 lams = rho_simple_eigenvalues(rng, n, d)
                 V = random_invertible(rng, n)
-                if _tuple_values_nonzero(f, mus, _eigencolumns(V)):
+                if _tuple_values_nonzero(polarizations, _eigencolumns(V)):
                     accepted = (lams, V)
                     break
         except RetryExhausted as e:  # pragma: no cover - ample retries

@@ -53,6 +53,10 @@ class PolynomialParseError(ValueError):
     """Input text does not conform to the polynomial grammar."""
 
 
+class ExponentOverflow(ValueError):
+    """An exponent does not fit the universe's per-variable bit field."""
+
+
 def _demote(c: Scalar) -> Scalar:
     """Collapse integral Fractions to plain ints."""
     if type(c) is Fraction and c.denominator == 1:
@@ -99,7 +103,7 @@ class Universe:
         key = 0
         for e, sh in zip(exponents, self._shifts):
             if e < 0 or e > self._mask:
-                raise OverflowError(f"exponent {e} out of range for {self.bits}-bit fields")
+                raise ExponentOverflow(f"exponent {e} out of range for {self.bits}-bit fields")
             key |= e << sh
         return key
 
@@ -360,7 +364,7 @@ class Polynomial:
         cap = u._mask
         for x, y in zip(va, vb):
             if x + y > cap:
-                raise OverflowError(
+                raise ExponentOverflow(
                     f"product exponent would exceed {u.bits}-bit field; "
                     "use a wider universe"
                 )

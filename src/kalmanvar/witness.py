@@ -26,7 +26,7 @@ from .polymatrix import (
     qmat_rank,
     qmat_vec,
 )
-from .veronese import PartitionType, monomial_basis, polarize_value
+from .veronese import PartitionType, monomial_basis, polarize
 
 RETRY_BUDGET = 16
 ENTRY_BOUND = 999
@@ -384,13 +384,14 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
             f"partition {mu.parts}: smallest part >= 2 and no parametrization "
             "is registered for the form")
 
+    fmu = polarize(f, mu)
     for _ in range(RETRY_BUDGET):
-        vectors = _draw_mu_vectors(f, mu, n, rng, linear_first, parametrized)
+        vectors = _draw_mu_vectors(f, fmu, mu, n, rng, linear_first, parametrized)
         if vectors is None:
             continue
         if not _independent(vectors):
             continue
-        value = polarize_value(f, mu, vectors)
+        value = _polar_value(fmu, vectors)
         if value != 0:  # pragma: no cover - solved exactly, should not happen
             continue
         cols = [list(v) for v in vectors]
@@ -418,8 +419,14 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
     raise RetryExhausted(f"no witness for mu={mu.parts} within budget")
 
 
-def _draw_mu_vectors(f, mu, n, rng, linear_first, parametrized):
-    """One attempt at vectors (v_1, ..., v_s) with f_mu(v) = 0; None to retry."""
+def _polar_value(fmu: Polynomial, vectors) -> Scalar:
+    """The polarization fmu = polarize(f, mu) at a tuple of vectors."""
+    return fmu.evaluate([x for v in vectors for x in v])
+
+
+def _draw_mu_vectors(f, fmu, mu, n, rng, linear_first, parametrized):
+    """One attempt at vectors (v_1, ..., v_s) with fmu(v) = 0, fmu the
+    mu-polarization of f; None to retry."""
     s = mu.s
     if mu.parts == (mu.d,):
         try:
@@ -432,7 +439,7 @@ def _draw_mu_vectors(f, mu, n, rng, linear_first, parametrized):
         if s > 1 and not _independent(rest):
             return None
         basis = qmat_identity(n)
-        coeffs = [polarize_value(f, mu, [basis[j]] + rest) for j in range(n)]
+        coeffs = [_polar_value(fmu, [basis[j]] + rest) for j in range(n)]
         if all(c == 0 for c in coeffs):
             v1 = _rand_vector(rng, n)
             return [v1] + rest
@@ -458,7 +465,7 @@ def _draw_mu_vectors(f, mu, n, rng, linear_first, parametrized):
     tvar = Polynomial.var(ut, "t")
     sym = [c if isinstance(c, Polynomial) else Polynomial.const(ut, c)
            for c in fn(tvar)]
-    g = polarize_value(f, mu, [sym] + rest)
+    g = _polar_value(fmu, [sym] + rest)
     if not isinstance(g, Polynomial):
         return None if g != 0 else [[Fraction(x) for x in fn(Fraction(_rand_int(rng)))]] + rest
     if g.is_zero():

@@ -295,3 +295,17 @@ def test_degrees_rejects_n_below_two(capsys):
     assert rc == EXIT_PARSE == 2
     assert not out
     assert "n must be at least 2" in err
+
+
+def test_exponent_beyond_field_is_input_error(capsys):
+    rc, out, err = run(capsys, ["kalman-det", "--f", "x1^300"])
+    assert rc == EXIT_PARSE == 2
+    assert not out
+    assert "exponent 300 out of range for 8-bit fields" in err
+
+
+def test_product_exponent_beyond_field_is_input_error(capsys):
+    rc, out, err = run(capsys, ["sympower", "--n", "2", "--d", "200"])
+    assert rc == EXIT_PARSE == 2
+    assert not out
+    assert "product exponent would exceed 7-bit field" in err

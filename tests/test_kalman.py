@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kalmanvar.kalman as kalman
 from conftest import U2, U3, matrices
 from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
 from kalmanvar.kalman import (
@@ -25,8 +28,8 @@ from kalmanvar.kalman import (
     membership_necessary,
 )
 from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
-from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_rank
-from kalmanvar.veronese import basis_size, coeff_row, mon_vector
+from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_rank
+from kalmanvar.veronese import basis_size, coeff_row, mon_vector, sym_power_scalar
 from kalmanvar.witness import (
     matrix_with_eigenvectors,
     EigenSpec,
@@ -110,7 +113,62 @@ def test_symbolic_matches_numeric(A0):
     K = kalman_matrix(inst, A)
     flat = tuple(x for row in A0 for x in row)
     sym_vals = [[e.evaluate(flat) for e in row] for row in K.rows]
-    assert sym_vals == kalman_matrix_at(inst, A0)
+    _assert_same_entries(kalman_matrix_at(inst, A0), sym_vals)
+
+
+def _assert_same_entries(got, want):
+    assert got == want
+    assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+
+
+def _kalman_matrix_at_fractions(inst, A0):
+    """Reference: the rational product loop block <- block * rho_d(A0)."""
+    R = sym_power_scalar(A0, inst.d)
+    block = [list(r) for r in inst.C]
+    rows = [list(r) for r in block]
+    for _ in range(inst.N - inst.p):
+        block = qmat_mul(block, R)
+        rows.extend(list(r) for r in block)
+    return rows
+
+
+def _test_matrices(rng, n):
+    """An integer matrix, a rational one whose entries have pairwise
+    different denominators, and a singular rational one."""
+    ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    dens = rng.sample(range(2, n * n + 2), n * n)
+    fracs = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            den = dens[i * n + j]
+            num = rng.choice([k for k in range(-9, 10) if math.gcd(k, den) == 1])
+            row.append(Fraction(num, den))
+        fracs.append(row)
+    singular = [list(r) for r in fracs]
+    singular[-1] = [Fraction(-3, 2) * x for x in singular[0]]
+    assert qmat_det(singular) == 0
+    return ints, fracs, singular
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_kalman_matrix_at_matches_fraction_products(n, d):
+    rng = random.Random(100 * n + d)
+    u = x_universe(n)
+    terms = " + ".join(f"{rng.randint(1, 9)}*" + "*".join(f"x{rng.randint(1, n)}" for _ in range(d))
+                       for _ in range(4))
+    inst = KalmanInstance.from_form(parse_polynomial(f"{terms} - x{n}^{d}", u))
+    for A0 in _test_matrices(rng, n):
+        _assert_same_entries(kalman_matrix_at(inst, A0), _kalman_matrix_at_fractions(inst, A0))
+
+
+def test_kalman_matrix_at_matches_fraction_products_two_forms():
+    u = x_universe(3)
+    inst = KalmanInstance.from_generators([parse_polynomial("x1^2 - x2*x3", u),
+                                           parse_polynomial("x1*x2 + 3/2*x3^2", u)])
+    assert inst.p == 2 and any(isinstance(x, Fraction) for x in inst.C[1])
+    for A0 in _test_matrices(random.Random(7), 3):
+        _assert_same_entries(kalman_matrix_at(inst, A0), _kalman_matrix_at_fractions(inst, A0))
 
 
 # -- determinant ----------------------------------------------------------------
@@ -128,6 +186,25 @@ def test_kalman_det_via_dimensions():
     assert det == kalman_det(F22)
     with pytest.raises(ValueError):
         kalman_det(F22, 3, 2)
+
+
+def test_kalman_det_cache_is_lru(monkeypatch):
+    monkeypatch.setattr(kalman, "_DET_CACHE", OrderedDict())
+    size = kalman._DET_CACHE_SIZE
+    others = [parse_polynomial(f"x1^2 + {k}*x1*x2 - x2^2", x_universe(2))
+              for k in range(1, 2 * size + 1)]
+    first = kalman_det(F22)
+    for g in others[:size - 1]:
+        kalman_det(g)
+    assert kalman_det(F22) is first  # a hit makes F22 the most recent entry
+    kalman_det(others[size - 1])
+    assert len(kalman._DET_CACHE) == size
+    assert kalman_det(F22) is first
+    for g in others[size:]:
+        kalman_det(g)
+    assert len(kalman._DET_CACHE) == size
+    again = kalman_det(F22)
+    assert again is not first and again == first
 
 
 def test_kalman_det_rejects_inhomogeneous():
