@@ -23,7 +23,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 
 from .chow import (
     SetPartition,
@@ -34,11 +33,12 @@ from .chow import (
     fixture_E3,
     fixture_Wtilde3,
 )
-from .enumerative import degrees_table_csv, discriminant_budget
+from .enumerative import NonIntegralDegree, degrees_table_csv, discriminant_budget
 from .kalman import KalmanInstance, factorization_audit, kalman_det, kalman_matrix
 from .polycore import (
     Polynomial,
     PolynomialParseError,
+    UniverseMismatch,
     parse_polynomial,
     x_universe,
 )
@@ -61,93 +61,63 @@ class CheckFailed(RuntimeError):
     """A check the user requested reported failure."""
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters."""
-
-    subcommand: str
-    n: int | None = None
-    d: int | None = None
-    f: str | None = None
-    seed: int = 0
-    trials: int = 20
-    format: str = "text"
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.format not in ("text", "json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.n is not None and self.n < 1:
-            raise ValueError("--n must be positive")
-        if self.d is not None and self.d < 1:
-            raise ValueError("--d must be positive")
-        if self.trials < 1:
-            raise ValueError("--trials must be positive")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        known = {"cmd", "n", "d", "f", "seed", "trials", "format"}
-        extras = {k: v for k, v in vars(args).items() if k not in known}
-        return cls(
-            subcommand=args.cmd,
-            n=getattr(args, "n", None),
-            d=getattr(args, "d", None),
-            f=getattr(args, "f", None),
-            seed=getattr(args, "seed", 0),
-            trials=getattr(args, "trials", 20),
-            format=getattr(args, "format", "text"),
-            extras=extras,
-        )
-
-
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, default=str)
+
+
+def _report(args: argparse.Namespace, obj: dict) -> str:
+    """obj as indented JSON, or one `key = value` line per entry."""
+    if args.format == "json":
+        return _json(obj)
+    return "\n".join(f"{k} = {v}" for k, v in obj.items())
 
 
 _VAR_INDEX = re.compile(r"x(\d+)")
 
 
-def _parse_form(cfg: RunConfig) -> Polynomial:
-    if not cfg.f:
+def _parse_form(args: argparse.Namespace) -> Polynomial:
+    if not args.f:
         raise ValueError("this subcommand requires a form via --f")
-    n = cfg.n
+    n = args.n
     if n is None:
-        idx = [int(m) for m in _VAR_INDEX.findall(cfg.f)]
+        idx = [int(m) for m in _VAR_INDEX.findall(args.f)]
         if not idx:
-            raise PolynomialParseError(f"no variables x1..xn found in {cfg.f!r}")
+            raise PolynomialParseError(f"no variables x1..xn found in {args.f!r}")
         n = max(idx)
-    return parse_polynomial(cfg.f, x_universe(n))
+    return parse_polynomial(args.f, x_universe(n))
 
 
-def _require_text_or_json(cfg: RunConfig) -> None:
-    if cfg.format == "csv":
-        raise ValueError("csv output is only available for `degrees --table`")
+def _int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; the error names the flag and the text."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_sympower(cfg: RunConfig) -> str:
-    _require_text_or_json(cfg)
-    if cfg.n is None or cfg.d is None:
+def _cmd_sympower(args: argparse.Namespace) -> str:
+    if args.n is None or args.d is None:
         raise ValueError("sympower requires --n and --d")
-    M = sym_power(PolyMatrix.generic(cfg.n), cfg.d)
-    if cfg.format == "json":
+    M = sym_power(PolyMatrix.generic(args.n), args.d)
+    if args.format == "json":
         return _json({
-            "n": cfg.n,
-            "d": cfg.d,
-            "N": basis_size(cfg.n, cfg.d),
+            "n": args.n,
+            "d": args.d,
+            "N": basis_size(args.n, args.d),
             "matrix": M.to_json_obj(),
         })
     return M.to_text()
 
 
-def _cmd_kalman_matrix(cfg: RunConfig) -> str:
-    _require_text_or_json(cfg)
-    f = _parse_form(cfg)
-    inst = KalmanInstance.from_form(f, cfg.n, cfg.d)
+def _cmd_kalman_matrix(args: argparse.Namespace) -> str:
+    f = _parse_form(args)
+    inst = KalmanInstance.from_form(f, args.n, args.d)
     K = kalman_matrix(inst, PolyMatrix.generic(inst.n))
-    if cfg.format == "json":
+    if args.format == "json":
         return _json({
             "n": inst.n,
             "d": inst.d,
@@ -159,11 +129,10 @@ def _cmd_kalman_matrix(cfg: RunConfig) -> str:
     return K.to_text()
 
 
-def _cmd_kalman_det(cfg: RunConfig) -> str:
-    _require_text_or_json(cfg)
-    f = _parse_form(cfg)
-    det = kalman_det(f, cfg.n, cfg.d)
-    if cfg.format == "json":
+def _cmd_kalman_det(args: argparse.Namespace) -> str:
+    f = _parse_form(args)
+    det = kalman_det(f, args.n, args.d)
+    if args.format == "json":
         return _json({
             "n": f.u.nvars,
             "d": f.is_homogeneous(),
@@ -175,9 +144,8 @@ def _cmd_kalman_det(cfg: RunConfig) -> str:
     return det.to_text()
 
 
-def _cmd_salmon(cfg: RunConfig) -> str:
-    _require_text_or_json(cfg)
-    conic_text = cfg.extras.get("conic") or cfg.f
+def _cmd_salmon(args: argparse.Namespace) -> str:
+    conic_text = args.conic or args.f
     f = None
     if conic_text:
         f = parse_polynomial(conic_text, x_universe(3))
@@ -193,17 +161,15 @@ def _cmd_salmon(cfg: RunConfig) -> str:
         "g2_degree_matrix_entries": g2.degree_in(a_names),
         "g2_degree_conic_coefficients": g2.degree_in(b_names),
     }
-    if cfg.format == "json":
+    if args.format == "json":
         info["g2"] = g2.to_text()
-        return _json(info)
-    return "\n".join(f"{k} = {v}" for k, v in info.items())
+    return _report(args, info)
 
 
-def _cmd_audit(cfg: RunConfig) -> str:
-    _require_text_or_json(cfg)
-    f = _parse_form(cfg)
-    report = factorization_audit(f, cfg.n, cfg.d, trials=cfg.trials, seed=cfg.seed)
-    if cfg.format == "json":
+def _cmd_audit(args: argparse.Namespace) -> str:
+    f = _parse_form(args)
+    report = factorization_audit(f, args.n, args.d, trials=args.trials, seed=args.seed)
+    if args.format == "json":
         out = _json(report)
     else:
         lines = [f"audit n={report['n']} d={report['d']} f={report['f']} "
@@ -217,18 +183,17 @@ def _cmd_audit(cfg: RunConfig) -> str:
     return out
 
 
-def _cmd_degrees(cfg: RunConfig) -> str:
-    if cfg.extras.get("table"):
-        if cfg.format == "json":
+def _cmd_degrees(args: argparse.Namespace) -> str:
+    if args.table:
+        if args.format == "json":
             raise ValueError("the degree table is emitted as csv or text")
         return degrees_table_csv().rstrip("\n")
-    _require_text_or_json(cfg)
-    if cfg.n is None or cfg.d is None:
+    if args.n is None or args.d is None:
         raise ValueError("degrees requires --n and --d (or --table)")
-    rep = discriminant_budget(cfg.n, cfg.d)
-    if cfg.format == "json":
+    rep = discriminant_budget(args.n, args.d)
+    if args.format == "json":
         return _json(rep.to_json_obj())
-    lines = [f"degrees n={cfg.n} d={cfg.d}"]
+    lines = [f"degrees n={args.n} d={args.d}"]
     for kk, vv in rep.values.items():
         lines.append(f"  {kk} = {vv}")
     for flag in rep.flags:
@@ -242,36 +207,34 @@ def _parse_partition(text: str) -> SetPartition:
         blk = blk.strip()
         if not blk:
             raise ValueError(f"empty block in partition {text!r}")
-        blocks.append([int(x) for x in blk.split(",")])
+        blocks.append(_int_list(blk, "--partition"))
     return SetPartition.of(blocks)
 
 
-def _cmd_chow(cfg: RunConfig) -> str:
-    _require_text_or_json(cfg)
-    if cfg.n is None:
+def _cmd_chow(args: argparse.Namespace) -> str:
+    if args.n is None:
         raise ValueError("chow requires --n")
-    s = cfg.extras.get("s")
+    s = args.s
     if s is None:
         raise ValueError("chow requires --s (number of eigenvector factors)")
-    if cfg.extras.get("ctilde"):
-        value = coeff_ctilde(cfg.n, s)
-        if cfg.format == "json":
-            return _json({"n": cfg.n, "s": s, "ctilde": value})
+    if args.ctilde:
+        value = coeff_ctilde(args.n, s)
+        if args.format == "json":
+            return _json({"n": args.n, "s": s, "ctilde": value})
         return str(value)
-    partition = cfg.extras.get("partition")
-    if partition:
-        cls = class_WsP(cfg.n, s, _parse_partition(partition))
-        name = f"W_({s},{partition})"
-    elif cfg.extras.get("w"):
-        cls = class_W(cfg.n, s)
+    if args.partition:
+        cls = class_WsP(args.n, s, _parse_partition(args.partition))
+        name = f"W_({s},{args.partition})"
+    elif args.w:
+        cls = class_W(args.n, s)
         name = f"W_{s}"
-    elif cfg.extras.get("e3"):
-        cls = fixture_E3(cfg.n)
+    elif args.e3:
+        cls = fixture_E3(args.n)
         name = "E_3"
     else:
-        cls = fixture_Wtilde3(cfg.n) if (cfg.n, s) == (3, 3) else class_Wtilde(cfg.n, s)
+        cls = fixture_Wtilde3(args.n) if (args.n, s) == (3, 3) else class_Wtilde(args.n, s)
         name = f"W~_{s}"
-    if cfg.format == "json":
+    if args.format == "json":
         obj = cls.to_json_obj()
         obj["class"] = name
         obj["text"] = cls.to_text()
@@ -279,41 +242,30 @@ def _cmd_chow(cfg: RunConfig) -> str:
     return cls.to_text()
 
 
-def _cmd_witness(cfg: RunConfig) -> str:
-    _require_text_or_json(cfg)
-    kind = cfg.extras.get("kind")
-    if kind:
-        if cfg.n is None:
+def _cmd_witness(args: argparse.Namespace) -> str:
+    if args.kind:
+        if args.n is None:
             raise ValueError("witness --kind requires --n")
-        res = special_locus_matrix(kind, cfg.n, seed=cfg.seed)
-        obj = {"kind": kind, "n": cfg.n, "seed": cfg.seed,
-               "A": [[str(x) for x in row] for row in res["A"]],
-               "certificate": res["certificate"]}
-        if cfg.format == "json":
-            return _json(obj)
-        return "\n".join(f"{k} = {v}" for k, v in obj.items())
-    f = _parse_form(cfg)
-    mu_text = cfg.extras.get("mu")
-    if mu_text:
-        mu = tuple(int(x) for x in mu_text.split(","))
-        w = mu_witness(f, mu, f.u.nvars, seed=cfg.seed)
-        obj = {"f": f.to_text(), "mu": list(mu), "seed": cfg.seed,
-               "A": [[str(x) for x in row] for row in w.A],
-               "eigenvalues": [str(x) for x in w.eigenvalues],
-               "vectors": [[str(x) for x in v] for v in w.vectors],
-               "certificate": w.certificate}
-        if cfg.format == "json":
-            return _json(obj)
-        return "\n".join(f"{k} = {v}" for k, v in obj.items())
-    pt = sample_on_hypersurface(f, seed=cfg.seed)
+        res = special_locus_matrix(args.kind, args.n, seed=args.seed)
+        return _report(args, {"kind": args.kind, "n": args.n, "seed": args.seed,
+                              "A": [[str(x) for x in row] for row in res["A"]],
+                              "certificate": res["certificate"]})
+    f = _parse_form(args)
+    if args.mu:
+        mu = _int_list(args.mu, "--mu")
+        w = mu_witness(f, mu, f.u.nvars, seed=args.seed)
+        return _report(args, {"f": f.to_text(), "mu": mu, "seed": args.seed,
+                              "A": [[str(x) for x in row] for row in w.A],
+                              "eigenvalues": [str(x) for x in w.eigenvalues],
+                              "vectors": [[str(x) for x in v] for v in w.vectors],
+                              "certificate": w.certificate})
+    pt = sample_on_hypersurface(f, seed=args.seed)
     value = f.evaluate(pt)
-    obj = {"f": f.to_text(), "seed": cfg.seed,
+    obj = {"f": f.to_text(), "seed": args.seed,
            "point": [str(x) for x in pt], "value": str(value)}
     if value != 0:  # pragma: no cover - sampling is exact
         raise CheckFailed(_json(obj))
-    if cfg.format == "json":
-        return _json(obj)
-    return "\n".join(f"{k} = {v}" for k, v in obj.items())
+    return _report(args, obj)
 
 
 _DISPATCH = {
@@ -384,6 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args: argparse.Namespace) -> None:
+    """Checks shared by every subcommand, made before any work starts."""
+    for flag in ("n", "d", "trials", "s"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be positive")
+    if args.format == "csv" and not getattr(args, "table", False):
+        raise ValueError("csv output is only available for `degrees --table`")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -391,14 +353,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
     try:
-        cfg = RunConfig.from_args(args)
-        out = _DISPATCH[cfg.subcommand](cfg)
+        _check_args(args)
+        out = _DISPATCH[args.cmd](args)
         if out:
             print(out)
         return EXIT_OK
     except CheckFailed as e:
         print(str(e), file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except (UniverseMismatch, NonIntegralDegree) as e:
+        # ValueErrors that no command-line input can raise: internal faults
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (PolynomialParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

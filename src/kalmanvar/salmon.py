@@ -145,13 +145,13 @@ def g1_factor(f: Polynomial | None = None) -> Polynomial:
     return g1.specialize(vals)
 
 
-def kalman_conic_equation(f: Polynomial | None = None, _resultant: Polynomial | None = None) -> Polynomial:
+def kalman_conic_equation(f: Polynomial | None = None) -> Polynomial:
     """g2 = Res(f1, f2, f) / g1: the canonical degree-6 equation (in the
     a-variables) of the matrices with an eigenpoint on the conic V(f).
 
     None asks for the generic conic (g2 then has bidegree (6,3) in (a, b)).
     """
-    res = _resultant if _resultant is not None else salmon_resultant(conic_triple(f))
+    res = salmon_resultant(conic_triple(f))
     g1 = g1_factor(f)
     if g1.is_zero():
         raise ValueError("degenerate conic: the g1 factor vanishes identically")

@@ -180,112 +180,88 @@ def parametrization_for(f: Polynomial) -> Callable | None:
     return _PARAMETRIZATIONS.get(_param_key(f))
 
 
-def _solvable_variable(f: Polynomial) -> str | None:
-    """A variable occurring in f with exponent exactly 1 everywhere."""
-    for nm in f.u.names:
-        dg = f.degree_in([nm])
-        if dg == 1:
-            return nm
-    return None
+def _solve_linear_variable(f: Polynomial, rng: random.Random) -> list[Scalar] | None:
+    """A linear solve in a variable of exponent exactly 1 everywhere in f,
+    the other coordinates drawn at random."""
+    nm = next((nm for nm in f.u.names if f.degree_in([nm]) == 1), None)
+    if nm is None:
+        return None
+    n = f.u.nvars
+    i = f.u.index[nm]
+    # f = x_i * g + h with g, h free of x_i
+    g = f.derivative(nm)
+    h = f.specialize({nm: 0})
+    for _ in range(RETRY_BUDGET):
+        others = _rand_vector(rng, n)
+        others[i] = 0
+        gv = g.evaluate(others)
+        if gv == 0:
+            continue
+        pt: list[Scalar] = list(others)
+        pt[i] = Fraction(-h.evaluate(others), gv)
+        if any(pt) and f.evaluate(pt) == 0:
+            return pt
+    raise RetryExhausted("linear solve kept hitting degenerate draws")
 
 
-def _binary_points(f: Polynomial) -> list[tuple[Fraction, Fraction]]:
-    """All rational projective zeros of a nonzero binary form: roots of the
-    x2 = 1 dehomogenization, plus (1, 0) when x2 divides the form."""
-    u = f.u
+def _point_on_parametrization(f: Polynomial, rng: random.Random) -> list[Scalar] | None:
+    """The registered rational curve of f at a random integer parameter."""
+    fn = parametrization_for(f)
+    if fn is None:
+        return None
+    for _ in range(RETRY_BUDGET):
+        t = Fraction(_rand_int(rng))
+        pt = [Fraction(x) for x in fn(t)]
+        if any(pt) and f.evaluate(pt) == 0:
+            return pt
+    raise RetryExhausted("parametrization produced no usable point")
+
+
+def _binary_root_point(f: Polynomial, rng: random.Random) -> list[Scalar] | None:
+    """One of the rational projective zeros of a binary form, drawn at
+    random: the roots of the x2 = 1 dehomogenization, then (1, 0) when x2
+    divides the form."""
+    if f.u.nvars != 2:
+        return None
+    x2 = f.u.names[1]
     pts: list[tuple[Fraction, Fraction]] = []
-    g = f.specialize({u.names[1]: 1})
+    g = f.specialize({x2: 1})
     if not g.is_zero():
-        for r in sorted(set(_rational_roots(univariate_coeffs(g)))):
-            pts.append((r, Fraction(1)))
-    if f.specialize({u.names[1]: 0}).is_zero():
+        pts += [(r, Fraction(1)) for r in sorted(set(_rational_roots(univariate_coeffs(g))))]
+    if f.specialize({x2: 0}).is_zero():
         pts.append((Fraction(1), Fraction(0)))
-    return pts
+    if not pts:
+        return None
+    pt = list(pts[rng.randrange(len(pts))])
+    if f.evaluate(pt) != 0:  # pragma: no cover
+        raise AssertionError("root finder returned a non-zero; fault")
+    return pt
 
 
-def sample_on_hypersurface(f: Polynomial, strategy: str = "auto",
-                           seed: int = 0, rng: random.Random | None = None,
-                           point: Sequence[Scalar] | None = None) -> list[Scalar]:
+# tried in order; each returns None when it does not apply to the form
+_SAMPLERS = (_solve_linear_variable, _point_on_parametrization, _binary_root_point)
+
+
+def sample_on_hypersurface(f: Polynomial, seed: int = 0,
+                           rng: random.Random | None = None) -> list[Scalar]:
     """A nonzero rational point v with f(v) = 0, found exactly.
 
-    Strategies: `user_point` verifies a supplied point; `solvable_variable`
-    does a linear solve in a variable of exponent 1; `parametrization` uses
-    a registered rational curve; `binary_roots` factors a two-variable form
-    by the rational-root theorem.  `auto` picks the first applicable in
-    that order.
+    The constructions in `_SAMPLERS` are tried in order, and the first
+    that applies gives the point: a linear solve in a variable of
+    exponent 1, a registered rational curve, then the rational-root
+    theorem on a two-variable form.  One that applies but keeps failing
+    raises `RetryExhausted`; when none applies, `NoStrategy` is raised.
     """
     rng = rng if rng is not None else random.Random(seed)
-    n = f.u.nvars
     if f.is_zero():
         raise NoStrategy("the zero polynomial does not define a hypersurface")
-
-    if strategy == "auto":
-        if point is not None:
-            strategy = "user_point"
-        elif _solvable_variable(f) is not None:
-            strategy = "solvable_variable"
-        elif parametrization_for(f) is not None:
-            strategy = "parametrization"
-        elif n == 2 and _binary_points(f):
-            strategy = "binary_roots"
-        else:
-            raise NoStrategy(
-                "no linear variable, no registered parametrization, "
-                "no rational root, no point")
-
-    if strategy == "user_point":
-        if point is None:
-            raise NoStrategy("user_point requires a point")
-        pt = [Fraction(x) for x in point]
-        if not any(pt):
-            raise ValueError("point must be nonzero")
-        if f.evaluate(pt) != 0:
-            raise ValueError("supplied point does not lie on the hypersurface")
-        return pt
-
-    if strategy == "solvable_variable":
-        nm = _solvable_variable(f)
-        if nm is None:
-            raise NoStrategy("no variable occurs with exponent exactly 1")
-        i = f.u.index[nm]
-        # f = x_i * g + h with g, h free of x_i
-        g = f.derivative(nm)
-        h = f.specialize({nm: 0})
-        for _ in range(RETRY_BUDGET):
-            others = _rand_vector(rng, n)
-            others[i] = 0
-            gv = g.evaluate(others)
-            if gv == 0:
-                continue
-            pt: list[Scalar] = list(others)
-            pt[i] = Fraction(-h.evaluate(others), gv)
-            if any(pt) and f.evaluate(pt) == 0:
-                return pt
-        raise RetryExhausted("linear solve kept hitting degenerate draws")
-
-    if strategy == "parametrization":
-        fn = parametrization_for(f)
-        if fn is None:
-            raise NoStrategy("no parametrization registered for this form")
-        for _ in range(RETRY_BUDGET):
-            t = Fraction(_rand_int(rng))
-            pt = [Fraction(x) for x in fn(t)]
-            if any(pt) and f.evaluate(pt) == 0:
-                return pt
-        raise RetryExhausted("parametrization produced no usable point")
-
-    if strategy == "binary_roots":
-        if n != 2:
-            raise NoStrategy("root sampling needs exactly two variables")
-        pts = _binary_points(f)
-        if not pts:
-            raise NoStrategy("the binary form has no rational zero")
-        pt = list(pts[rng.randrange(len(pts))])
-        if f.evaluate(pt) != 0:  # pragma: no cover
-            raise AssertionError("root finder returned a non-zero; fault")
-        return pt
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    for sampler in _SAMPLERS:
+        pt = sampler(f, rng)
+        if pt is not None:
+            return pt
+    raise NoStrategy(
+        "no linear variable, no registered parametrization, "
+        "no rational root, no point")
 
 
 # mu-witnesses ---------------------------------------------------------------
@@ -482,8 +458,7 @@ def _draw_mu_vectors(f, fmu, mu, n, rng, linear_first, parametrized):
 # special loci ---------------------------------------------------------------
 
 
-def special_locus_matrix(kind: str, n: int, seed: int = 0,
-                         rng: random.Random | None = None) -> dict:
+def special_locus_matrix(kind: str, n: int, seed: int = 0) -> dict:
     """A rational matrix generic on a designated degeneration locus.
 
       rank_deficient            V diag(0, distinct nonzero) V^{-1}
@@ -493,7 +468,7 @@ def special_locus_matrix(kind: str, n: int, seed: int = 0,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     V = random_invertible(rng, n)
     if kind == "rank_deficient":
         lams = rho_simple_eigenvalues(rng, n, 1, forced=[0])

@@ -15,12 +15,11 @@ from kalmanvar.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
-    RunConfig,
     build_parser,
     main,
 )
-from kalmanvar.enumerative import degrees_table_csv
-from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
+from kalmanvar.enumerative import NonIntegralDegree, degrees_table_csv
+from kalmanvar.polycore import UniverseMismatch, a_universe, parse_polynomial, x_universe
 from kalmanvar.veronese import sym_power
 from kalmanvar.polymatrix import PolyMatrix
 
@@ -31,18 +30,29 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
-# -- config --------------------------------------------------------------------
+# -- argument checks -----------------------------------------------------------
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="degrees", n=0, d=1, f=None, seed=0, trials=1, format="text")
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="degrees", n=2, d=2, f=None, seed=0, trials=1, format="yaml")
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="degrees", n=2, d=2, f=None, seed=0, trials=0, format="text")
-    cfg = RunConfig(subcommand="degrees", n=2, d=2, f=None, seed=0, trials=1, format="text")
-    assert cfg.extras == {}
+def test_run_config_validation(capsys):
+    for flags, message in [
+        (["--n", "0", "--d", "1"], "--n must be positive"),
+        (["--n", "2", "--d", "0"], "--d must be positive"),
+        (["--n", "2", "--d", "2", "--trials", "0"], "--trials must be positive"),
+    ]:
+        rc, out, err = run(capsys, ["degrees"] + flags)
+        assert rc == EXIT_PARSE
+        assert not out
+        assert err == f"error: {message}\n"
+    rc, out, _ = run(capsys, ["degrees", "--n", "2", "--d", "2", "--format", "yaml"])
+    assert rc == EXIT_PARSE
+    assert not out
+
+
+def test_chow_rejects_nonpositive_s(capsys):
+    rc, out, err = run(capsys, ["chow", "--n", "3", "--s", "0"])
+    assert rc == EXIT_PARSE
+    assert not out
+    assert err == "error: --s must be positive\n"
 
 
 def test_build_parser_smoke():
@@ -180,6 +190,22 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "synthetic fault" in err
 
 
+@pytest.mark.parametrize("fault", [
+    UniverseMismatch("('x1', 'x2') vs ('x1', 'x2', 'x3')"),
+    NonIntegralDegree("deg_p_(2) = 3/2 is not an integer"),
+])
+def test_internal_value_errors_exit_internal(capsys, monkeypatch, fault):
+    # ValueError subclasses that signal a fault, not bad input
+    def boom(*a, **k):
+        raise fault
+
+    monkeypatch.setattr(cli, "factorization_audit", boom)
+    rc, out, err = run(capsys, ["audit", "--f", "x1^2-x2^2"])
+    assert rc == EXIT_INTERNAL
+    assert not out
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
 # -- degrees ---------------------------------------------------------------------------
 
 
@@ -251,6 +277,15 @@ def test_witness_mu_json_deterministic(capsys):
     assert obj["certificate"]["checks"]["polarization_value"] == "0"
 
 
+def test_witness_point_text(capsys):
+    rc, out, _ = run(capsys, ["witness", "--f", "x2^2-x1*x3", "--seed", "7"])
+    assert rc == EXIT_OK
+    assert out == ("f = -x1*x3 + x2^2\n"
+                   "seed = 7\n"
+                   "point = ['-887364/691', '942', '-691']\n"
+                   "value = 0\n")
+
+
 def test_witness_special_locus(capsys):
     rc, out, _ = run(
         capsys,
@@ -280,9 +315,36 @@ def test_missing_subcommand(capsys):
     assert rc == EXIT_PARSE
 
 
-def test_csv_rejected_outside_table(capsys):
-    rc, _, err = run(capsys, ["sympower", "--n", "2", "--d", "2", "--format", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["sympower", "--n", "2", "--d", "2"],
+    ["kalman-matrix", "--f", "x1^2-x2^2"],
+    ["kalman-det", "--f", "x1^2-x2^2"],
+    ["salmon", "--conic", "x2^2-x1*x3"],
+    ["audit", "--f", "x1^2-x2^2"],
+    ["degrees", "--n", "3", "--d", "2"],
+    ["chow", "--n", "3", "--s", "3"],
+    ["witness", "--f", "x2^2-x1*x3"],
+], ids=lambda argv: argv[0])
+def test_csv_rejected_outside_table(capsys, argv):
+    rc, out, err = run(capsys, argv + ["--format", "csv"])
     assert rc == EXIT_PARSE
+    assert not out
+    assert err == "error: csv output is only available for `degrees --table`\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "--f", "x2^2-x1*x3", "--mu", "1,,1"],
+     "--mu expects comma-separated integers, got '1,,1'"),
+    (["witness", "--f", "x2^2-x1*x3", "--mu", "1,x"],
+     "--mu expects comma-separated integers, got '1,x'"),
+    (["chow", "--n", "3", "--s", "3", "--partition", "1,a|2,3"],
+     "--partition expects comma-separated integers, got '1,a'"),
+])
+def test_integer_list_flags_name_the_flag(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == EXIT_PARSE
+    assert not out
+    assert err == f"error: {message}\n"
 
 
 def test_inhomogeneous_form_rejected(capsys):

@@ -155,24 +155,12 @@ def test_sample_parametrization():
     assert F32.evaluate(tuple(v)) == 0
 
 
-def test_sample_explicit_point():
-    v = sample_on_hypersurface(F32, strategy="user_point", point=(1, 1, 1))
-    assert v == [1, 1, 1]
-    with pytest.raises(ValueError):
-        sample_on_hypersurface(F32, strategy="user_point", point=(1, 1, 2))
-
-
 def test_sample_no_strategy():
     # irreducible ternary cubic with no linear variable, no registered
     # parametrization and n > 2
     f = parse_polynomial("x1^3 + x2^3 + x3^3 - 3*x1*x2*x3 + x1*x2^2", U3)
     with pytest.raises(NoStrategy):
         sample_on_hypersurface(f, seed=0)
-
-
-def test_sample_unknown_strategy_name():
-    with pytest.raises(ValueError):
-        sample_on_hypersurface(F32, strategy="monte-carlo")
 
 
 def test_register_parametrization_roundtrip():
