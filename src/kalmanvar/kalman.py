@@ -49,7 +49,6 @@ from .polymatrix import (
     qmat_rank,
 )
 from .veronese import (
-    PartitionType,
     basis_size,
     coeff_matrix,
     coeff_row,

@@ -770,7 +770,9 @@ _NUMBER = re.compile(r"^\d+(?:/\d+)?$")
 
 def parse_polynomial(text: str, u: Universe) -> Polynomial:
     """Parse the canonical text grammar: signed terms of the form
-    [coeff '*'] var['^'exp] ['*' var['^'exp] ...], coefficients `p` or `p/q`."""
+    [coeff '*'] var['^'exp] ['*' var['^'exp] ...], coefficients `p` or `p/q`.
+    Repeated factors of a variable add their exponents (`ExponentOverflow`
+    when the sum does not fit the field)."""
     s = text.strip().replace(" ", "")
     if not s:
         raise PolynomialParseError("empty input")
@@ -792,13 +794,15 @@ def parse_polynomial(text: str, u: Universe) -> Polynomial:
     acc: dict[int, Scalar] = {}
     for sign, body in terms_text:
         coeff: Scalar = sign
-        key = 0
+        exps = [0] * u.nvars
         for factor in body.split("*"):
             if not factor:
                 raise PolynomialParseError(f"empty factor in {text!r}")
             if _NUMBER.match(factor):
                 if "/" in factor:
                     num, den = factor.split("/")
+                    if int(den) == 0:
+                        raise PolynomialParseError(f"zero denominator in {text!r}")
                     coeff = coeff * Fraction(int(num), int(den))
                 else:
                     coeff = coeff * int(factor)
@@ -809,7 +813,8 @@ def parse_polynomial(text: str, u: Universe) -> Polynomial:
             name, exp = mm.group(1), int(mm.group(2) or 1)
             if name not in u.index:
                 raise PolynomialParseError(f"unknown variable {name!r}")
-            key += u.var_key(name, exp)
+            exps[u.index[name]] += exp
+        key = u.pack(exps)
         v = acc.get(key, 0) + coeff
         if v:
             acc[key] = _demote(v)

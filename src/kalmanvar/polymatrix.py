@@ -19,8 +19,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .polycore import (
-    Fraction,
-    NotDivisible,
     Polynomial,
     Scalar,
     Universe,
@@ -60,11 +58,6 @@ class PolyMatrix:
     @staticmethod
     def from_scalars(u: Universe, rows: Sequence[Sequence[Scalar]]) -> "PolyMatrix":
         return PolyMatrix(u, [[Polynomial.const(u, c) for c in r] for r in rows])
-
-    @staticmethod
-    def zero(u: Universe, nrows: int, ncols: int) -> "PolyMatrix":
-        z = Polynomial.zero(u)
-        return PolyMatrix(u, [[z] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(u: Universe, n: int) -> "PolyMatrix":

@@ -16,9 +16,8 @@ an eigenpoint on the conic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .polycore import NotDivisible, Polynomial, Scalar, Universe, _cached, parse_polynomial
+from .polycore import NotDivisible, Polynomial, Scalar, _cached, parse_polynomial
 from .polymatrix import PolyMatrix
 from .veronese import monomial_basis
 

@@ -8,7 +8,15 @@ x1 > x2 > ... > xn, so for n=3, d=2 it reads
 The symmetric power rho_d(A) is the N x N matrix whose row indexed by a
 basis monomial m holds the coefficients of m(A*x) in that basis; it
 satisfies rho_d(A) * mon_vector(v, d) = mon_vector(A*v, d), and f(v) =
-coeff_row(f) . mon_vector(v, d).
+coeff_row(f) . mon_vector(v, d).  It is built up from rho_0(A) = [[1]]: for
+a basis monomial m whose first variable is x_i, m(A*x) = (A*x)_i *
+(m/x_i)(A*x), so
+
+    rho_d(A)[m, g] = sum over j with g_j > 0 of a_ij * rho_{d-1}(A)[m/x_i, g/x_j].
+
+The block polarization f_mu expands f(v_1 + ... + v_s) with Polynomial
+arithmetic and keeps the terms of block degrees mu, scaled by
+mu_1! ... mu_s!/d!.
 """
 
 from __future__ import annotations
@@ -18,15 +26,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import (
-    Polynomial,
-    Scalar,
-    Universe,
-    UniverseMismatch,
-    _demote,
-    x_universe,
-)
-from .polymatrix import DimensionMismatch, NonSquareMatrix, PolyMatrix, qmat_rank
+from .polycore import Polynomial, Scalar, Universe, _demote, x_universe
+from .polymatrix import NonSquareMatrix, PolyMatrix, qmat_rank
 
 
 class InhomogeneousInput(ValueError):
@@ -63,66 +64,40 @@ def mon_vector(v: Sequence[Scalar], d: int) -> list[Scalar]:
     return out
 
 
-# -- polynomials with a separate x-block ------------------------------------
-# Represented as dicts mapping packed x-keys to coefficients in an arbitrary
-# exact ring (scalars or Polynomials).  Used to expand m(A*x) without ever
-# forming a combined variable universe.
-
-
-def _xp_mul(p: dict, q: dict, is_zero) -> dict:
-    out: dict = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            k = k1 + k2
-            v = c1 * c2
-            if k in out:
-                out[k] = out[k] + v
-            else:
-                out[k] = v
-    return {k: c for k, c in out.items() if not is_zero(c)}
-
-
-def _sym_power_rows(entry, n: int, d: int, zero, one, is_zero):
-    """Shared core of sym_power: `entry(i, j)` yields the (i,j) ring element."""
-    ux = x_universe(n)
-    basis = monomial_basis(n, d)
-    keys = [ux.pack(e) for e in basis]
-    linear_forms = []
-    for i in range(n):
-        L = {}
-        for j in range(n):
-            c = entry(i, j)
-            if not is_zero(c):
-                L[ux.var_key(f"x{j + 1}")] = c
-        linear_forms.append(L)
-    # cache powers of each linear form up to the max exponent used
-    maxe = [max(e[i] for e in basis) for i in range(n)]
-    powers = []
-    for i in range(n):
-        rows = [{0: one}]
-        for _ in range(maxe[i]):
-            rows.append(_xp_mul(rows[-1], linear_forms[i], is_zero))
-        powers.append(rows)
-    out_rows = []
-    for exps in basis:
-        cur = {0: one}
-        for i in range(n):
-            if exps[i]:
-                cur = _xp_mul(cur, powers[i][exps[i]], is_zero)
-        out_rows.append([cur.get(k, zero) for k in keys])
-    return out_rows
+def _sym_power_rows(A, d: int, zero, one) -> list[list]:
+    """rho_d(A) for a square list of ring elements, by the recurrence on d
+    stated in the module docstring; `zero` and `one` are the ring's."""
+    n = len(A)
+    rows = [[one]]
+    for k in range(1, d + 1):
+        index = {g: r for r, g in enumerate(monomial_basis(n, k - 1))}
+        # for each degree-k basis monomial g, the pairs (j, row index of g/x_j)
+        # with j ascending: the first pair is g's first variable
+        down = [[(j, index[g[:j] + (g[j] - 1,) + g[j + 1:]]) for j in range(n) if g[j]]
+                for g in monomial_basis(n, k)]
+        new_rows = []
+        for m_pairs in down:
+            i, first = m_pairs[0]
+            a, prev = A[i], rows[first]
+            row = []
+            for pairs in down:
+                acc = None
+                for j, r in pairs:
+                    if a[j] and prev[r]:
+                        t = a[j] * prev[r]
+                        acc = t if acc is None else acc + t
+                row.append(acc if acc else zero)
+            new_rows.append(row)
+        rows = new_rows
+    return rows
 
 
 def sym_power(A: PolyMatrix, d: int) -> PolyMatrix:
     """rho_d(A) for a square matrix with polynomial entries."""
     if not A.is_square():
         raise NonSquareMatrix("symmetric power needs a square matrix")
-    n = A.nrows
     u = A.u
-    zero = Polynomial.zero(u)
-    one = Polynomial.const(u, 1)
-    rows = _sym_power_rows(lambda i, j: A.rows[i][j], n, d, zero, one, lambda p: p.is_zero())
-    return PolyMatrix(u, rows)
+    return PolyMatrix(u, _sym_power_rows(A.rows, d, Polynomial.zero(u), Polynomial.const(u, 1)))
 
 
 def sym_power_scalar(A: Sequence[Sequence[Scalar]], d: int) -> list[list[Scalar]]:
@@ -130,7 +105,7 @@ def sym_power_scalar(A: Sequence[Sequence[Scalar]], d: int) -> list[list[Scalar]
     n = len(A)
     if any(len(r) != n for r in A):
         raise NonSquareMatrix("symmetric power needs a square matrix")
-    return _sym_power_rows(lambda i, j: A[i][j], n, d, 0, 1, lambda c: c == 0)
+    return _sym_power_rows(A, d, 0, 1)
 
 
 def coeff_row(f: Polynomial, n: int, d: int) -> list[Scalar]:
@@ -230,62 +205,19 @@ def polarize(f: Polynomial, mu: PartitionType | Sequence[int]) -> Polynomial:
     if d is None or d != mu.d:
         raise InhomogeneousInput(f"form must be homogeneous of degree {mu.d}")
     s = mu.s
-    names = tuple(f"x{i}_{k}" for k in range(1, s + 1) for i in range(1, n + 1))
-    ub = Universe(names, 8)
-    scalar = Fraction(1, math.factorial(d))
-    for p in mu.parts:
-        scalar *= math.factorial(p)
-    ux = f.u
-    m = ux._mask
-    acc: dict[int, Scalar] = {}
-
-    def distribute(i: int, alpha: tuple[int, ...], remaining: list[int], beta_cols: list[list[int]], multi: int):
-        """Distribute alpha_i over s blocks; remaining = open column budgets."""
-        if i == n:
-            if all(r == 0 for r in remaining):
-                exps = [0] * (s * n)
-                for k in range(s):
-                    for ii in range(n):
-                        exps[k * n + ii] = beta_cols[k][ii]
-                key = ub.pack(exps)
-                acc[key] = acc.get(key, 0) + cval * multi
-            return
-        ai = alpha[i]
-        # compositions of ai into s parts bounded by remaining budgets;
-        # mult_acc accumulates the multinomial C(ai; beta_i1..beta_is)
-        def comp(k: int, left: int, mult_acc: int):
-            if k == s - 1:
-                if left <= remaining[s - 1]:
-                    beta_cols[s - 1][i] = left
-                    remaining[s - 1] -= left
-                    distribute(i + 1, alpha, remaining, beta_cols, multi * mult_acc)
-                    remaining[s - 1] += left
-                    beta_cols[s - 1][i] = 0
-                return
-            for take in range(min(left, remaining[k]) + 1):
-                beta_cols[k][i] = take
-                remaining[k] -= take
-                comp(k + 1, left - take, mult_acc * math.comb(left, take))
-                remaining[k] += take
-                beta_cols[k][i] = 0
-
-        comp(0, ai, 1)
-
-    for key, c in f.terms.items():
-        alpha = tuple((key >> sh) & m for sh in ux._shifts)
-        cval = c
-        distribute(0, alpha, list(mu.parts), [[0] * n for _ in range(s)], 1)
-
-    out = {k: _demote(v * scalar) for k, v in acc.items() if v}
-    return Polynomial(ub, {k: v for k, v in out.items() if v})
+    ub = Universe(tuple(f"x{i}_{k}" for k in range(1, s + 1) for i in range(1, n + 1)), 8)
+    block_sums = [sum(Polynomial.var(ub, f"x{i}_{k}") for k in range(1, s + 1))
+                  for i in range(1, n + 1)]
+    expanded = f.evaluate(block_sums)
+    scalar = Fraction(math.prod(math.factorial(p) for p in mu.parts), math.factorial(d))
+    terms = {}
+    for key, c in expanded.terms.items():
+        exps = ub.unpack(key)
+        if all(sum(exps[k * n:(k + 1) * n]) == p for k, p in enumerate(mu.parts)):
+            terms[key] = _demote(c * scalar)
+    return Polynomial(ub, terms)
 
 
 def polarize_value(f: Polynomial, mu: PartitionType | Sequence[int], vectors: Sequence[Sequence[Scalar]]) -> Scalar:
     """f_mu evaluated at a tuple of rational vectors."""
-    if not isinstance(mu, PartitionType):
-        mu = PartitionType(mu)
-    fmu = polarize(f, mu)
-    point: list[Scalar] = []
-    for v in vectors:
-        point.extend(v)
-    return fmu.evaluate(point)
+    return polarize(f, mu).evaluate([x for v in vectors for x in v])

@@ -10,6 +10,7 @@ distinct, so symmetric powers keep simple spectra.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ from .veronese import PartitionType, monomial_basis, polarize
 RETRY_BUDGET = 16
 ENTRY_BOUND = 999
 EIGENVALUE_BOUND = 99
+SEARCH_HEIGHT = 3
+SEARCH_MAX_VARS = 5
 
 
 class SingularV(ValueError):
@@ -238,8 +241,22 @@ def _binary_root_point(f: Polynomial, rng: random.Random) -> list[Scalar] | None
     return pt
 
 
+def _small_integer_point(f: Polynomial, rng: random.Random) -> list[Scalar] | None:
+    """One of the nonzero integer zeros with every |x_i| <= SEARCH_HEIGHT,
+    drawn at random from the full list of them.  The box has
+    (2*SEARCH_HEIGHT + 1)^n points, so forms in more than SEARCH_MAX_VARS
+    variables are not searched."""
+    if f.u.nvars > SEARCH_MAX_VARS:
+        return None
+    box = range(-SEARCH_HEIGHT, SEARCH_HEIGHT + 1)
+    pts = [list(p) for p in itertools.product(box, repeat=f.u.nvars)
+           if any(p) and f.evaluate(p) == 0]
+    return rng.choice(pts) if pts else None
+
+
 # tried in order; each returns None when it does not apply to the form
-_SAMPLERS = (_solve_linear_variable, _point_on_parametrization, _binary_root_point)
+_SAMPLERS = (_solve_linear_variable, _point_on_parametrization, _binary_root_point,
+             _small_integer_point)
 
 
 def sample_on_hypersurface(f: Polynomial, seed: int = 0,
@@ -248,9 +265,11 @@ def sample_on_hypersurface(f: Polynomial, seed: int = 0,
 
     The constructions in `_SAMPLERS` are tried in order, and the first
     that applies gives the point: a linear solve in a variable of
-    exponent 1, a registered rational curve, then the rational-root
-    theorem on a two-variable form.  One that applies but keeps failing
-    raises `RetryExhausted`; when none applies, `NoStrategy` is raised.
+    exponent 1, a registered rational curve, the rational-root theorem on
+    a two-variable form, then a search of the integer points with every
+    |x_i| <= SEARCH_HEIGHT (forms in at most SEARCH_MAX_VARS variables).
+    One that applies but keeps failing raises `RetryExhausted`; when none
+    applies, `NoStrategy` is raised.
     """
     rng = rng if rng is not None else random.Random(seed)
     if f.is_zero():
@@ -260,8 +279,9 @@ def sample_on_hypersurface(f: Polynomial, seed: int = 0,
         if pt is not None:
             return pt
     raise NoStrategy(
-        "no linear variable, no registered parametrization, "
-        "no rational root, no point")
+        "no linear variable, no registered parametrization, no rational root, "
+        f"no integer zero with every |x_i| <= {SEARCH_HEIGHT} "
+        f"(searched up to {SEARCH_MAX_VARS} variables)")
 
 
 # mu-witnesses ---------------------------------------------------------------
@@ -339,9 +359,11 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
     """A rational matrix A with independent eigenvectors v_1, ..., v_s such
     that the mu-polarization of f vanishes exactly at (v_1, ..., v_s).
 
-    Supported shapes: mu = (d) (a point on the hypersurface), smallest part
-    1 (linear solve for v_1), or any shape when f has a registered
-    parametrization (rational-root search along the curve).
+    Supported shapes: mu = (d) (a point on the hypersurface from
+    `sample_on_hypersurface`, which raises `NoStrategy` when none of its
+    constructions applies), smallest part 1 (linear solve for v_1), or any
+    shape when f has a registered parametrization (rational-root search
+    along the curve).
     """
     if not isinstance(mu, PartitionType):
         mu = PartitionType(mu)

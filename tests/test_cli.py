@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.resources
-import io
 import json
 import pathlib
 
@@ -286,6 +285,15 @@ def test_witness_point_text(capsys):
                    "value = 0\n")
 
 
+def test_witness_point_by_integer_search(capsys):
+    # no linear variable, parametrization or binary form: the box search
+    rc, out, _ = run(capsys, ["witness", "--f", "x1^2 + x2^2 - x3^2", "--format", "json"])
+    assert rc == EXIT_OK
+    obj = json.loads(out)
+    assert obj["value"] == "0"
+    assert any(int(x) for x in obj["point"])
+
+
 def test_witness_special_locus(capsys):
     rc, out, _ = run(
         capsys,
@@ -371,3 +379,15 @@ def test_product_exponent_beyond_field_is_input_error(capsys):
     assert rc == EXIT_PARSE == 2
     assert not out
     assert "product exponent would exceed 7-bit field" in err
+
+
+@pytest.mark.parametrize("form,message", [
+    ("x2^200*x2^100", "exponent 300 out of range for 8-bit fields"),
+    ("x1^128*x1^128", "exponent 256 out of range for 8-bit fields"),
+    ("1/0*x1^2", "zero denominator in '1/0*x1^2'"),
+])
+def test_malformed_form_is_input_error(capsys, form, message):
+    rc, out, err = run(capsys, ["kalman-det", "--f", form])
+    assert rc == EXIT_PARSE == 2
+    assert not out
+    assert message in err

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from kalmanvar.enumerative import (
     DegreeReport,
-    NonIntegralDegree,
     ctilde,
     ctilde_stirling_form,
     deg_kalman,
@@ -28,7 +26,7 @@ from kalmanvar.enumerative import (
     sing_degrees,
     stirling2,
 )
-from kalmanvar.veronese import PartitionType, basis_size
+from kalmanvar.veronese import PartitionType
 
 # -- helpers ------------------------------------------------------------------
 

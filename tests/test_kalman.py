@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kalmanvar.kalman as kalman
-from conftest import U2, U3, matrices
+from conftest import matrices
 from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
 from kalmanvar.kalman import (
     KalmanInstance,
@@ -27,9 +27,9 @@ from kalmanvar.kalman import (
     kalman_matrix_at,
     membership_necessary,
 )
-from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
+from kalmanvar.polycore import parse_polynomial, x_universe
 from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_rank
-from kalmanvar.veronese import basis_size, coeff_row, mon_vector, sym_power_scalar
+from kalmanvar.veronese import sym_power_scalar
 from kalmanvar.witness import (
     matrix_with_eigenvectors,
     EigenSpec,
@@ -346,6 +346,13 @@ def test_audit_seed_changes_witnesses():
 def test_audit_passes_3_2():
     rep = factorization_audit(F32, trials=5, seed=7)
     assert rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_audit_passes_cubic_without_linear_variable(seed):
+    # mu = (3) needs a point on the cubic; only the integer search finds one
+    f = parse_polynomial("x1^3 + x2^3 - x3^3 + x1*x2*x3", x_universe(3))
+    assert factorization_audit(f, trials=20, seed=seed)["status"] == "pass"
 
 
 def test_audit_d1_collision_note():

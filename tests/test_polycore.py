@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import U2, U3, nonzero_fractions, polynomials, vectors
 from kalmanvar.polycore import (
     DivisionByZeroPolynomial,
+    ExponentOverflow,
     NotDivisible,
     Polynomial,
     PolynomialParseError,
@@ -88,6 +89,18 @@ def test_print_parse_roundtrip_examples():
 def test_parse_errors(bad):
     with pytest.raises(PolynomialParseError):
         P(bad)
+
+
+def test_repeated_factors_add_exponents():
+    assert P("x2^3*x1*x2^2") == P("x1*x2^5")
+    for text, e in [("x2^200*x2^100", 300), ("x2^255*x2", 256), ("x1^128*x1^128", 256)]:
+        with pytest.raises(ExponentOverflow, match=f"exponent {e} out of range for 8-bit fields"):
+            P(text)
+
+
+def test_zero_denominator_is_parse_error():
+    with pytest.raises(PolynomialParseError, match=r"zero denominator in '1/0\*x1\^2'"):
+        P("1/0*x1^2")
 
 
 def test_universe_mismatch():

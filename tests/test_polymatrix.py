@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import U3, invertible_matrices, matrices, polynomials, vectors
-from kalmanvar.polycore import Polynomial, parse_polynomial, t_universe, x_universe
+from kalmanvar.polycore import Polynomial, parse_polynomial
 from kalmanvar.polymatrix import (
     DimensionMismatch,
     NonSquareMatrix,

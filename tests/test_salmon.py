@@ -5,10 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import matrices
 from kalmanvar.polycore import parse_polynomial, x_universe
 from kalmanvar.salmon import (
     AB_UNIVERSE,

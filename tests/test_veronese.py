@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,12 +17,11 @@ from conftest import (
     U3,
     fractions,
     homogeneous,
-    invertible_matrices,
     matrices,
-    polynomials,
     vectors,
 )
-from kalmanvar.polycore import Polynomial, a_universe, parse_polynomial, x_universe
+from kalmanvar.enumerative import partitions
+from kalmanvar.polycore import Polynomial, parse_polynomial, x_universe
 from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_vec
 from kalmanvar.veronese import (
     InhomogeneousInput,
@@ -117,6 +118,40 @@ def test_sym_power_rejects_nonsquare():
     m = PolyMatrix.from_scalars(U3, [[1, 2, 3]])
     with pytest.raises(Exception):
         sym_power(m, 2)
+
+
+def _expanded_rows(A, d):
+    """Row m holds the coefficients of m(A*x), expanded with Polynomial
+    arithmetic over x1..xn, in the basis order."""
+    n = len(A)
+    u = x_universe(n)
+    lin = [sum(Polynomial.var(u, f"x{j + 1}", coeff=a) for j, a in enumerate(row)) for row in A]
+    rows = []
+    for m in monomial_basis(n, d):
+        p = Polynomial.const(u, 1)
+        for L, e in zip(lin, m):
+            p = p * L ** e
+        rows.append([p.terms.get(u.pack(g), 0) for g in monomial_basis(n, d)])
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sym_power_scalar_matches_expansion(n):
+    rng = random.Random(n)
+    for d in range(4):
+        ints = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        fracs = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        zero_row = [[0] * n] + ints[1:]
+        for A in (ints, fracs, zero_row):
+            assert sym_power_scalar(A, d) == _expanded_rows(A, d), (A, d)
+        assert all(type(c) is int for row in sym_power_scalar(ints, d) for c in row)
+
+
+def test_sym_power_scalar_cancelled_entry_is_int_zero():
+    h = Fraction(1, 2)
+    R = sym_power_scalar([[h, h], [h, -h]], 2)
+    # row x1*x2 is (x1 + x2)(x1 - x2)/4: its x1*x2 coefficient cancels
+    assert R[1][1] == 0 and type(R[1][1]) is int
 
 
 # -- coefficient rows -------------------------------------------------------------
@@ -229,3 +264,36 @@ def test_polarize_block_homogeneity(v, w, c):
 def test_polarize_equal_blocks_symmetric(v, w):
     f = parse_polynomial("x1^2*x2^2 - x3^4", U3)
     assert polarize_value(f, (2, 2), [v, w]) == polarize_value(f, (2, 2), [w, v])
+
+
+POLARIZE_FORMS = (
+    "x1^3 - x2*x3^2 + x4^3",
+    "x2^3 - x1^2*x3",
+    "x2^2 - x1*x3",
+    "x1^2 + x2*x3 - x4^2",
+    "x1^3 + x2^3 - x3^3 + x1*x2*x3",
+    "3/2*x1^2*x2 - 5/7*x2^3 + x1*x2*x3",
+)
+
+
+@pytest.mark.parametrize("text", POLARIZE_FORMS)
+def test_polarize_matches_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    n = max(int(m) for m in re.findall(r"x(\d+)", text))
+    f = parse_polynomial(text, x_universe(n))
+    d = f.is_homogeneous()
+    xs = sympy.symbols(f"x1:{n + 1}")
+    fs = sympy.sympify(text.replace("^", "**"))
+    for mu in partitions(d, d):
+        s = mu.s
+        ts = sympy.symbols(f"t1:{s + 1}")
+        v = [[sympy.Symbol(f"x{i}_{k}") for i in range(1, n + 1)] for k in range(1, s + 1)]
+        sub = {xs[i]: sum(ts[k] * v[k][i] for k in range(s)) for i in range(n)}
+        expr = sympy.Poly(sympy.expand(fs.subs(sub, simultaneous=True)), *ts)
+        coeff = expr.as_dict().get(mu.parts, 0) * sympy.Rational(
+            math.prod(math.factorial(p) for p in mu.parts), math.factorial(d))
+        fmu = polarize(f, mu)
+        want = sympy.Poly(coeff, *[sympy.Symbol(nm) for nm in fmu.u.names]).as_dict()
+        got = {fmu.u.unpack(k): sympy.Rational(c.numerator, c.denominator)
+               for k, c in fmu.terms.items()}
+        assert got == {k: c for k, c in want.items() if c}, (text, mu.parts)

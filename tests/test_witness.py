@@ -16,9 +16,9 @@ from kalmanvar.polycore import parse_polynomial, x_universe
 from kalmanvar.polymatrix import qmat_det, qmat_rank, qmat_vec
 from kalmanvar.veronese import polarize_value
 from kalmanvar.witness import (
-    RETRY_BUDGET,
+    SEARCH_HEIGHT,
+    SEARCH_MAX_VARS,
     EigenSpec,
-    MuWitness,
     NoStrategy,
     SingularV,
     UnsupportedPartition,
@@ -156,11 +156,29 @@ def test_sample_parametrization():
 
 
 def test_sample_no_strategy():
-    # irreducible ternary cubic with no linear variable, no registered
-    # parametrization and n > 2
-    f = parse_polynomial("x1^3 + x2^3 + x3^3 - 3*x1*x2*x3 + x1*x2^2", U3)
+    # ternary cubic with no linear variable, no registered parametrization,
+    # n > 2 and no nonzero rational zero
+    f = parse_polynomial("x1^3 + 2*x2^3 + 4*x3^3", U3)
     with pytest.raises(NoStrategy):
         sample_on_hypersurface(f, seed=0)
+
+
+@pytest.mark.parametrize("text", ["x1^3 + x2^3 - x3^3 + x1*x2*x3", "x1^2 + x2^2 - x3^2"])
+def test_sample_small_integer_point(text):
+    f = parse_polynomial(text, U3)
+    for seed in (0, 7, 12345):
+        v = sample_on_hypersurface(f, seed=seed)
+        assert any(v) and f.evaluate(v) == 0
+        assert all(type(x) is int and abs(x) <= SEARCH_HEIGHT for x in v)
+
+
+def test_sample_integer_search_variable_limit():
+    # (1, 0, ..., 0, 1) is a zero, but the form has more than
+    # SEARCH_MAX_VARS variables, so the box is not searched
+    n = SEARCH_MAX_VARS + 1
+    text = " + ".join(f"x{i}^2" for i in range(1, n)) + f" - x{n}^2"
+    with pytest.raises(NoStrategy):
+        sample_on_hypersurface(parse_polynomial(text, x_universe(n)), seed=0)
 
 
 def test_register_parametrization_roundtrip():
