@@ -11,10 +11,14 @@ consequences drive the whole design:
   * monomial multiplication is integer addition of keys.
 
 Coefficient arithmetic stays in plain ints on pure-integer inputs, which is
-the common case for every determinant in this package.  An optional numpy
-fast path accelerates large products; it is only taken when a certified
-coefficient bound proves int64 accumulation cannot overflow, so results are
-bit-identical to the portable path.
+the common case for every determinant in this package.  Integer products of
+4096 or more term pairs go to one numpy kernel (`_np_mul`): keys rebased to
+an index over the product's exponent box, one sort per chunk of pairs, and a
+segmented sum.  The l1*linf coefficient certificate only picks how values are
+held (int64, two int64 limbs, or exact Python ints in object arrays), so
+results are bit-identical to the portable path.  The dict double loop in
+`Polynomial.__mul__` is that portable path: it serves rational coefficients,
+boxes too wide to pack, small products and runs without numpy.
 """
 
 from __future__ import annotations
@@ -117,6 +121,13 @@ class Universe:
 
     def var_key(self, name: str, exp: int = 1) -> int:
         return self.pack(tuple(exp if i == self.index[name] else 0 for i in range(self.nvars)))
+
+    def check_product_exponent(self, e: int) -> None:
+        """Raise ExponentOverflow when a product would hold exponent `e`."""
+        if e > self._mask:
+            raise ExponentOverflow(
+                f"product exponent would exceed {self.bits}-bit field; use a wider universe"
+            )
 
 
 # interned universes -----------------------------------------------------
@@ -358,16 +369,9 @@ class Polynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return Polynomial(self.u, {})
-        # overflow guard on exponent fields
         u = self.u
         va, vb = self.var_maxes(), other.var_maxes()
-        cap = u._mask
-        for x, y in zip(va, vb):
-            if x + y > cap:
-                raise ExponentOverflow(
-                    f"product exponent would exceed {u.bits}-bit field; "
-                    "use a wider universe"
-                )
+        u.check_product_exponent(max((x + y for x, y in zip(va, vb)), default=0))
         if _np is not None and len(self.terms) * len(other.terms) >= 4096:
             out = _np_mul(self, other)
             if out is not None:
@@ -607,62 +611,111 @@ def _clean_terms(acc: dict[int, Scalar]) -> dict[int, Scalar]:
     return {k: _demote(c) for k, c in acc.items() if c}
 
 
-# numpy fast path ---------------------------------------------------------
+# numpy product kernel -----------------------------------------------------
 
 _I64_SAFE = 1 << 62
+# an int64 product split into a signed high limb and a low limb of 31 bits
+_LIMB = 31
+# term pairs per chunk: int64 values (half as many when split into limbs),
+# and exact Python ints in object arrays
+_CHUNK_I64 = 1 << 21
+_CHUNK_OBJ = 1 << 16
 
 
 def _np_mul(p: Polynomial, q: Polynomial):
-    """Exact int64 product, or None when exactness cannot be certified.
+    """Exact product terms by one sort-and-sum kernel, or None when it declines.
 
-    Certificate: every output coefficient is a sum of at most min(T_p, T_q)
-    products |c1*c2| <= linf_a * l1_b (for either pairing), so when
-    min(l1_p*linf_q, linf_p*l1_q) < 2**62 no intermediate or final value
-    can leave the int64 range.  Keys must fit in 63 bits.
+    Keys are rebased, on the operands only, to a mixed-radix index over the
+    product's exponent box (dims_i = va_i + vb_i + 1, first variable most
+    significant): the map is additive and keeps the key order.  The outer
+    product is taken a chunk of term pairs at a time.  Each chunk and the
+    running accumulator are reduced by one in-place sort of
+    (index << b) | position and a segmented sum; accumulator entries carry the
+    all-ones position, which no pair has, and keep their order in the sort.
+
+    The certificate picks how values are held.  Every output coefficient is
+    a sum of products whose absolute values total at most
+    min(l1_p*linf_q, linf_p*l1_q): below 2**62 the sums are int64.  Failing
+    that, when every product is below 2**62 and there are fewer than 2**31
+    pairs, each product is split into two int64 limbs (v >> 31, v & (2**31-1))
+    whose sums stay below 2**62, and the limbs are joined as Python ints per
+    output term.  Otherwise the values are exact Python ints in object arrays,
+    with a smaller chunk.  Every way, the terms equal the dict loop's.
+
+    The kernel declines before building any array: on non-integer
+    coefficients, and when the largest box index shifted by the position bits
+    does not fit 63 bits.
     """
-    u = p.u
-    if u.bits * u.nvars > 63:
-        return None
     l1p, lip, aip = p._norm_info()
     l1q, liq, aiq = q._norm_info()
     if not (aip and aiq):
         return None
-    if min(l1p * liq, lip * l1q) >= _I64_SAFE:
+    if len(p.terms) > len(q.terms):
+        p, q = q, p
+    lp, lq = len(p.terms), len(q.terms)
+    if min(l1p * liq, lip * l1q) < _I64_SAFE:
+        vdt, limbs, budget = "int64", 1, _CHUNK_I64
+    elif lip * liq < _I64_SAFE and lp * lq < _I64_SAFE >> _LIMB:
+        vdt, limbs, budget = "int64", 2, _CHUNK_I64 // 2
+    else:
+        vdt, limbs, budget = object, 1, _CHUNK_OBJ
+    dims = [x + y + 1 for x, y in zip(p.var_maxes(), q.var_maxes())]
+    box = math.prod(dims)
+    step = max(1, budget // lq)
+    b = (step * lq).bit_length()
+    if (box - 1).bit_length() + b > 63:
         return None
-    pk = _np.fromiter(p.terms.keys(), dtype=_np.int64, count=len(p.terms))
-    pv = _np.fromiter(p.terms.values(), dtype=_np.int64, count=len(p.terms))
-    qk = _np.fromiter(q.terms.keys(), dtype=_np.int64, count=len(q.terms))
-    qv = _np.fromiter(q.terms.values(), dtype=_np.int64, count=len(q.terms))
-    if len(pk) > len(qk):
-        pk, pv, qk, qv = qk, qv, pk, pv
-    # chunk the outer product and fold each chunk into a running
-    # accumulator so working memory stays ~ |result| + one chunk
-    budget = 1 << 22
-    step = max(1, budget // max(len(qk), 1))
-    acc_k = acc_v = None
-    for i in range(0, len(pk), step):
-        kk = (pk[i : i + step, None] + qk[None, :]).ravel()
-        vv = (pv[i : i + step, None] * qv[None, :]).ravel()
-        kk, vv = _np_reduce(kk, vv)
-        if acc_k is None:
-            acc_k, acc_v = kk, vv
-        else:
-            acc_k, acc_v = _np_reduce(
-                _np.concatenate([acc_k, kk]), _np.concatenate([acc_v, vv])
-            )
-    return {int(k): c for k, c in zip(acc_k.tolist(), acc_v.tolist()) if c}
 
+    u = p.u
+    strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+    digits = [(sh, s, d) for sh, s, d in zip(u._shifts, strides, dims) if d > 1]
+    kdt = "uint64" if u.bits * u.nvars <= 64 else object
 
-def _np_reduce(keys, vals):
-    """Sum values over equal keys (sorted-unique + reduceat)."""
-    order = _np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = vals[order]
-    if len(keys) == 0:
-        return keys, vals
-    starts = _np.flatnonzero(_np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = _np.add.reduceat(vals, starts)
-    return keys[starts], sums
+    def rebase(terms):
+        keys = _np.fromiter(terms.keys(), dtype=kdt, count=len(terms))
+        idx = _np.zeros(len(terms), dtype=_np.int64)
+        for sh, s, _ in digits:
+            idx += ((keys >> sh) & u._mask).astype(_np.int64) * (s << b)
+        return idx, _np.fromiter(terms.values(), dtype=vdt, count=len(terms))
+
+    pk, pv = rebase(p.terms)
+    qk, qv = rebase(q.terms)
+    low = (1 << b) - 1
+    acc_k = _np.empty(0, dtype=_np.int64)
+    acc_v = _np.empty((limbs, 0), dtype=vdt)
+    for r in range(0, lp, step):
+        rows = min(step, lp - r)
+        m = rows * lq
+        n = m + len(acc_k)
+        key = _np.empty(n, dtype=_np.int64)
+        val = _np.empty((limbs, n), dtype=vdt)
+        _np.add(pk[r:r + rows, None], qk, out=key[:m].reshape(rows, lq))
+        key[:m] |= _np.arange(m, dtype=_np.int64)
+        key[m:] = acc_k
+        _np.multiply(pv[r:r + rows, None], qv, out=val[0, :m].reshape(rows, lq))
+        if limbs == 2:
+            _np.bitwise_and(val[0, :m], (1 << _LIMB) - 1, out=val[1, :m])
+            val[0, :m] >>= _LIMB
+        val[:, m:] = acc_v
+        key.sort()
+        # entries of one index differ only in the position bits
+        head = _np.empty(n, dtype=bool)
+        head[0] = True
+        _np.greater(key[1:] ^ key[:-1], low, out=head[1:])
+        starts = _np.flatnonzero(head)
+        acc_k = key[starts] | low
+        key &= low  # the positions, in sorted order
+        key[key == low] = _np.arange(m, n, dtype=_np.int64)
+        acc_v = _np.add.reduceat(val.take(key, axis=1), starts, axis=1)
+    vals = acc_v[0]
+    if limbs == 2:
+        vals = (vals.astype(object) << _LIMB) + acc_v[1].astype(object)
+    nz = vals != 0
+    idx = acc_k[nz] >> b
+    keys = _np.zeros(len(idx), dtype=kdt)
+    for sh, s, d in digits:
+        keys |= ((idx // s) % d).astype(kdt) << sh
+    return dict(zip(keys.tolist(), vals[nz].tolist()))
 
 
 # univariate helpers ------------------------------------------------------

@@ -93,10 +93,18 @@ def _sym_power_rows(A, d: int, zero, one) -> list[list]:
 
 
 def sym_power(A: PolyMatrix, d: int) -> PolyMatrix:
-    """rho_d(A) for a square matrix with polynomial entries."""
+    """rho_d(A) for a square matrix with polynomial entries.
+
+    Raises ExponentOverflow before the recurrence when d times the largest
+    exponent of a variable in an entry exceeds the field: the entry
+    rho_d(A)[x_i^d, x_j^d] = a_ij^d holds that exponent, and no entry holds a
+    larger one.
+    """
     if not A.is_square():
         raise NonSquareMatrix("symmetric power needs a square matrix")
     u = A.u
+    top = max((e for row in A.rows for a in row for e in a.var_maxes()), default=0)
+    u.check_product_exponent(d * top)
     return PolyMatrix(u, _sym_power_rows(A.rows, d, Polynomial.zero(u), Polynomial.const(u, 1)))
 
 

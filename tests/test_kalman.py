@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kalmanvar.kalman as kalman
+import kalmanvar.polycore as polycore
 from conftest import matrices
 from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
 from kalmanvar.kalman import (
@@ -205,6 +206,31 @@ def test_kalman_det_cache_is_lru(monkeypatch):
     assert len(kalman._DET_CACHE) == size
     again = kalman_det(F22)
     assert again is not first and again == first
+
+
+@pytest.mark.parametrize("form", [
+    "x1^4 + 300*x1*x2^3 - 200*x2^4",  # uncertified products split into int64 limbs
+    "x1^4 + 500*x1*x2^3 - 400*x2^4",  # products past 2**62: exact Python ints
+])
+def test_kalman_det_uncertified_products_match_dict_loop(monkeypatch, form):
+    f = parse_polynomial(form, x_universe(2))
+    uncertified = []
+    kernel = polycore._np_mul
+
+    def counted(p, q):
+        l1p, lip, _ = p._norm_info()
+        l1q, liq, _ = q._norm_info()
+        out = kernel(p, q)
+        uncertified.append(min(l1p * liq, lip * l1q) >= 2**62 and out is not None)
+        return out
+
+    monkeypatch.setattr(polycore, "_np_mul", counted)
+    monkeypatch.setattr(kalman, "_DET_CACHE", OrderedDict())
+    with_numpy = kalman_det(f)
+    assert any(uncertified)
+    monkeypatch.setattr(kalman, "_DET_CACHE", OrderedDict())
+    monkeypatch.setattr(polycore, "_np", None)
+    assert kalman_det(f) == with_numpy
 
 
 def test_kalman_det_rejects_inhomogeneous():

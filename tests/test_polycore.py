@@ -5,10 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import U2, U3, nonzero_fractions, polynomials, vectors
+from kalmanvar import polycore
 from kalmanvar.polycore import (
     DivisionByZeroPolynomial,
     ExponentOverflow,
@@ -227,6 +228,92 @@ def test_degree_of_product_adds(p, q):
 @given(polynomials(U3, allow_zero=False), nonzero_fractions)
 def test_canonical_ignores_scaling(p, c):
     assert p.scale(c).canonical() == p.canonical()
+
+
+# -- product kernel against the dict loop ---------------------------------------------
+
+# coefficient magnitudes: int64 sums; int64 limbs (every product below 2**62,
+# the sums not certified); exact Python ints (products past 2**62)
+KERNEL_COEFFS = {
+    "int64": (1, 9),
+    "limbs": (2**30, 2**31 - 1),
+    "object": (2**40 - 2**20, 2**40),
+}
+
+
+def _int_polynomials(u: Universe, lo: int, hi: int):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * u.nvars)
+    coeff = st.tuples(st.integers(min_value=lo, max_value=hi), st.sampled_from([1, -1]))
+    return st.dictionaries(exps, coeff.map(lambda t: t[0] * t[1]), min_size=4, max_size=24).map(
+        lambda m: Polynomial.from_exponents(u, m)
+    )
+
+
+def _dict_loop_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_np", None)
+        return p * q
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_COEFFS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_np_mul_matches_dict_loop(kind, data):
+    ints = _int_polynomials(U3, *KERNEL_COEFFS[kind])
+    s, t = data.draw(ints), data.draw(ints)
+    cancel = data.draw(st.booleans())
+    # (s + t)(s - t): the cross terms cancel to zero
+    p, q = (s + t, s - t) if cancel else (s, t)
+    assume(p and q)
+    if kind != "int64" and not cancel:
+        l1p, lip, _ = p._norm_info()
+        l1q, liq, _ = q._norm_info()
+        assert min(l1p * liq, lip * l1q) >= 2**62
+    chunk = data.draw(st.integers(min_value=1, max_value=len(p.terms) * len(q.terms)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_CHUNK_I64", chunk)
+        mp.setattr(polycore, "_CHUNK_OBJ", chunk)
+        out = polycore._np_mul(p, q)
+    assert out is not None
+    assert out == _dict_loop_product(p, q).terms
+    assert all(type(c) is int for c in out.values())
+
+
+@pytest.mark.parametrize("u", [x_universe(9), a_universe(4)], ids=["72-bit", "128-bit"])
+def test_np_mul_keys_wider_than_64_bits(u):
+    base = parse_polynomial(" + ".join(u.names[::2]) + " + 1", u) ** 3
+    p, q = base * 3 - 1, base + parse_polynomial(u.names[-1], u)
+    out = polycore._np_mul(p, q)
+    assert out is not None and out == _dict_loop_product(p, q).terms
+
+
+class _NoNumpy:
+    """Stands in for numpy where the kernel must decline before any array work."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def _declined_operands(kind: str) -> tuple[Polynomial, Polynomial]:
+    base = P("x1 + x2 + x3 + 1") ** 6  # 84 terms: 7056 pairs, past the 4096 threshold
+    if kind == "fraction":
+        return base.scale(Fraction(1, 3)), base
+    # the same terms with every exponent times 2**14: the box needs about 53
+    # bits and the positions 13
+    wide = Universe(("x1", "x2", "x3"), bits=21)
+    spread = Polynomial.from_exponents(
+        wide, {tuple(e << 14 for e in U3.unpack(k)): c for k, c in base.terms.items()}
+    )
+    return spread, spread + 1
+
+
+@pytest.mark.parametrize("kind", ["fraction", "wide box"])
+def test_np_mul_declines_before_any_array(kind):
+    p, q = _declined_operands(kind)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_np", _NoNumpy())
+        assert polycore._np_mul(p, q) is None
+    assert p * q == _dict_loop_product(p, q)
 
 
 # -- univariate helpers --------------------------------------------------------------

@@ -21,7 +21,7 @@ from conftest import (
     vectors,
 )
 from kalmanvar.enumerative import partitions
-from kalmanvar.polycore import Polynomial, parse_polynomial, x_universe
+from kalmanvar.polycore import ExponentOverflow, Polynomial, a_universe, parse_polynomial, x_universe
 from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_vec
 from kalmanvar.veronese import (
     InhomogeneousInput,
@@ -118,6 +118,23 @@ def test_sym_power_rejects_nonsquare():
     m = PolyMatrix.from_scalars(U3, [[1, 2, 3]])
     with pytest.raises(Exception):
         sym_power(m, 2)
+
+
+def test_sym_power_exponent_limit_is_exact(monkeypatch):
+    # rho_d(A)[x1^d, x1^d] = a11^(2d) in a 7-bit field: d = 63 fits, d = 64 does not
+    u = a_universe(2)
+    zero = Polynomial.zero(u)
+    A = PolyMatrix(u, [[parse_polynomial("a11^2", u), zero], [zero, parse_polynomial("a22^2", u)]])
+    R = sym_power(A, 63)
+    assert R.rows[0][0] == parse_polynomial("a11^126", u)
+    assert R.rows[-1][-1] == parse_polynomial("a22^126", u)
+
+    def no_product(self, other):
+        raise AssertionError("the recurrence started")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    with pytest.raises(ExponentOverflow, match="product exponent would exceed 7-bit field"):
+        sym_power(A, 64)
 
 
 def _expanded_rows(A, d):
