@@ -50,8 +50,10 @@ from .veronese import (
     sym_power_scalar,
 )
 from .kalman import (
+    MAX_DET_N,
     KalmanInstance,
     LineRestrictionZero,
+    ProblemTooLarge,
     RankDeficientC,
     delta_at,
     delta_d_at,
@@ -117,9 +119,7 @@ from .witness import (
     derive_seed,
     matrix_with_eigenvectors,
     mu_witness,
-    parametrization_for,
     random_invertible,
-    register_parametrization,
     rho_simple_eigenvalues,
     sample_on_hypersurface,
     special_locus_matrix,

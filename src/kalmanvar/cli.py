@@ -13,7 +13,7 @@ Subcommands
 
 Shared flags: --n --d --f --seed --trials --format {text|json|csv}.
 Exit codes: 0 success, 1 a requested check failed, 2 parse/validation
-error, 3 internal invariant breach.  Output is deterministic for a fixed
+error or an input beyond a size limit, 3 internal invariant breach.  Output is deterministic for a fixed
 seed; every printed polynomial re-parses to the identical canonical value.
 """
 

@@ -75,6 +75,10 @@ class RankDeficientC(ValueError):
     """The observation coefficient matrix does not have full row rank."""
 
 
+class ProblemTooLarge(ValueError):
+    """The input is beyond the size the system can finish."""
+
+
 class LineRestrictionZero(ArithmeticError):
     """The target polynomial restricts to zero on the whole sampled line,
     so no vanishing order at the base point is defined; retry with fresh
@@ -186,6 +190,10 @@ def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> li
     return rows
 
 
+# The largest N whose symbolic det K_d is computed: the binary sextic
+# (N = 7) took ~277 s, and nothing larger has ever finished.
+MAX_DET_N = 7
+
 # Least-recently-used determinants; one entry can hold ~700k terms (the
 # full conic det K_2), so only a few are kept.
 _DET_CACHE_SIZE = 8
@@ -198,9 +206,15 @@ def kalman_det(f: Polynomial, n: int | None = None, d: int | None = None) -> Pol
     coefficients, positive leading coefficient).
 
     Homogeneous of total degree d*C(N,2) whenever no structural
-    cancellation occurs (generic full-support forms).
+    cancellation occurs (generic full-support forms).  Raises
+    `ProblemTooLarge`, before any work, when N exceeds MAX_DET_N.
     """
     n, d = _infer_nd(f, n, d)
+    N = basis_size(n, d)
+    if N > MAX_DET_N:
+        raise ProblemTooLarge(
+            f"det K_{d} of a form in {n} variables has size N = {N}; "
+            f"the limit is MAX_DET_N = {MAX_DET_N}")
     fc = f.canonical()
     key = (fc.u.names, fc.to_text(), n, d)
     hit = _DET_CACHE.get(key)
@@ -282,7 +296,7 @@ def factor_order_along_line(target: str, A0: Sequence[Sequence[Scalar]],
     non-generic line; the caller should retry with fresh randomness).
     """
     At = _line_matrix(A0, A1)
-    if target in ("det", "kalman_det"):
+    if target == "det":
         if f is None:
             raise ValueError('target "det" requires the form f')
         inst = KalmanInstance.from_form(f, len(A0), d)
@@ -303,13 +317,9 @@ def factor_order_along_line(target: str, A0: Sequence[Sequence[Scalar]],
 _RANK = {"pass": 0, "error": 1, "fail": 2}
 
 
-def _worse(a: str, b: str) -> str:
-    return a if _RANK[a] >= _RANK[b] else b
-
-
-def _eigencolumns(V: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    n = len(V)
-    return [[V[i][j] for i in range(n)] for j in range(n)]
+def _worst(statuses) -> str:
+    """The most severe of the statuses; "pass" when there are none."""
+    return max(statuses, key=_RANK.__getitem__, default="pass")
 
 
 def _tuple_values_nonzero(polarizations: Sequence[tuple[int, Polynomial]],
@@ -324,6 +334,33 @@ def _tuple_values_nonzero(polarizations: Sequence[tuple[int, Polynomial]],
             if fmu.evaluate([x for i in idx for x in cols[i]]) == 0:
                 return False
     return True
+
+
+def _generic_draw(rng: random.Random, n: int, d: int,
+                  polarizations: Sequence[tuple[int, Polynomial]]):
+    """Eigenvalues and an eigenvector matrix V whose columns avoid every
+    partition's polarization locus, by rejection sampling."""
+    for _ in range(RETRY_BUDGET):
+        lams = rho_simple_eigenvalues(rng, n, d)
+        V = random_invertible(rng, n)
+        if _tuple_values_nonzero(polarizations, list(zip(*V))):
+            return lams, V
+    raise RetryExhausted("rejection sampling found no generic draw")
+
+
+def _det_case(case: dict, inst: KalmanInstance, A, vanishes: bool) -> dict:
+    """case with det K(A) recorded; it passes when the determinant vanishes
+    exactly as `vanishes` says."""
+    val = qmat_det(kalman_matrix_at(inst, A))
+    case["status"] = "pass" if (val == 0) == vanishes else "fail"
+    case["det_value"] = str(val)
+    return case
+
+
+def _case_assertion(name: str, witness_seed: int, cases: list[dict]) -> dict:
+    """An assertion over cases, as severe as its worst case."""
+    return {"assertion": name, "status": _worst(c["status"] for c in cases),
+            "witness_seed": witness_seed, "certificate": {"cases": cases}}
 
 
 def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = None,
@@ -364,7 +401,6 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
                            "certificate": {"error": str(e)}})
 
     # vanishing at one exact witness per partition
-    status = "pass"
     cases = []
     for k, mu in enumerate(mus):
         ws = derive_seed(seed, 1_000_000 + k)
@@ -372,20 +408,12 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
         try:
             w = mu_witness(f, mu, n, seed=ws)
         except (UnsupportedPartition, NoStrategy, RetryExhausted) as e:
-            case["status"] = "error"
-            case["reason"] = str(e)
-            status = _worse(status, "error")
-            cases.append(case)
+            cases.append(dict(case, status="error", reason=str(e)))
             continue
-        val = qmat_det(kalman_matrix_at(inst, w.A))
-        case["status"] = "pass" if val == 0 else "fail"
-        case["det_value"] = str(val)
-        case["certificate"] = w.certificate
-        status = _worse(status, case["status"])
-        cases.append(case)
-    assertions.append({"assertion": "mu_witness_vanishing", "status": status,
-                       "witness_seed": derive_seed(seed, 1_000_000),
-                       "certificate": {"cases": cases}})
+        cases.append(dict(_det_case(case, inst, w.A, vanishes=True),
+                          certificate=w.certificate))
+    assertions.append(_case_assertion("mu_witness_vanishing",
+                                      derive_seed(seed, 1_000_000), cases))
 
     # vanishing on the repeated-symmetric-power-eigenvalue locus
     if d < 2:
@@ -396,7 +424,6 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
                                     "constant for d = 1; nothing to check"},
         })
     else:
-        status = "pass"
         cases = []
         for j in range(trials):
             ws = derive_seed(seed, 2_000_000 + j)
@@ -406,67 +433,31 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
                 lams = collision_eigenvalues(rng, n, d)
                 V = random_invertible(rng, n)
             except RetryExhausted as e:  # pragma: no cover - ample retries
-                case["status"] = "error"
-                case["reason"] = str(e)
-                status = _worse(status, "error")
-                cases.append(case)
+                cases.append(dict(case, status="error", reason=str(e)))
                 continue
-            A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)),
-                                                   tuple(lams)))
-            val = qmat_det(kalman_matrix_at(inst, A))
+            A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
             case["eigenvalues"] = [str(l) for l in lams]
-            case["status"] = "pass" if val == 0 else "fail"
-            case["det_value"] = str(val)
-            status = _worse(status, case["status"])
-            cases.append(case)
-        assertions.append({"assertion": "collision_vanishing", "status": status,
-                           "witness_seed": derive_seed(seed, 2_000_000),
-                           "certificate": {"cases": cases}})
+            cases.append(_det_case(case, inst, A, vanishes=True))
+        assertions.append(_case_assertion("collision_vanishing",
+                                          derive_seed(seed, 2_000_000), cases))
 
     # nonvanishing at generic diagonalizable matrices away from all factors
     polarizations = [(mu.s, polarize(f, mu)) for mu in mus]
-    status = "pass"
     cases = []
     for j in range(trials):
         ws = derive_seed(seed, 3_000_000 + j)
-        rng = random.Random(ws)
         case = {"trial": j, "witness_seed": ws}
-        accepted = None
         try:
-            for _ in range(RETRY_BUDGET):
-                lams = rho_simple_eigenvalues(rng, n, d)
-                V = random_invertible(rng, n)
-                if _tuple_values_nonzero(polarizations, _eigencolumns(V)):
-                    accepted = (lams, V)
-                    break
+            lams, V = _generic_draw(random.Random(ws), n, d, polarizations)
         except RetryExhausted as e:  # pragma: no cover - ample retries
-            case["status"] = "error"
-            case["reason"] = str(e)
-            status = _worse(status, "error")
-            cases.append(case)
+            cases.append(dict(case, status="error", reason=str(e)))
             continue
-        if accepted is None:
-            case["status"] = "error"
-            case["reason"] = "rejection sampling found no generic draw"
-            status = _worse(status, "error")
-            cases.append(case)
-            continue
-        lams, V = accepted
-        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)),
-                                               tuple(lams)))
-        val = qmat_det(kalman_matrix_at(inst, A))
+        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
         case["eigenvalues"] = [str(l) for l in lams]
-        case["status"] = "pass" if val != 0 else "fail"
-        case["det_value"] = str(val)
-        status = _worse(status, case["status"])
-        cases.append(case)
-    assertions.append({"assertion": "generic_nonvanishing", "status": status,
-                       "witness_seed": derive_seed(seed, 3_000_000),
-                       "certificate": {"cases": cases}})
+        cases.append(_det_case(case, inst, A, vanishes=False))
+    assertions.append(_case_assertion("generic_nonvanishing",
+                                      derive_seed(seed, 3_000_000), cases))
 
-    overall = "pass"
-    for a in assertions:
-        overall = _worse(overall, a["status"])
     return {
         "n": n,
         "d": d,
@@ -474,5 +465,5 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
         "seed": seed,
         "trials": trials,
         "assertions": assertions,
-        "status": overall,
+        "status": _worst(a["status"] for a in assertions),
     }

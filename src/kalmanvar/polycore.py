@@ -471,23 +471,18 @@ class Polynomial:
             return 0
         u = self.u
         m = u._mask
-        vm = self.var_maxes()
-        pows: list[list[Scalar]] = []
-        for v, e in zip(point, vm):
-            row = [1] * (e + 1)
-            acc = 1
-            for i in range(1, e + 1):
-                acc *= v
-                row[i] = acc
-            pows.append(row)
+        # only the powers that occur, each computed once
+        pows: list[dict[int, Scalar]] = [{} for _ in point]
         total: Scalar = 0
-        shifts = u._shifts
         for k, c in self.terms.items():
             val = c
-            for i, sh in enumerate(shifts):
+            for v, row, sh in zip(point, pows, u._shifts):
                 e = (k >> sh) & m
                 if e:
-                    val = val * pows[i][e]
+                    p = row.get(e)
+                    if p is None:
+                        p = row[e] = v ** e
+                    val = val * p
             total += val
         return _demote(total)
 

@@ -25,13 +25,9 @@ A_NAMES = tuple(f"a{i}{j}" for i in range(1, 4) for j in range(1, 4))
 B_NAMES = ("b200", "b110", "b101", "b020", "b011", "b002")
 X_NAMES = ("x1", "x2", "x3")
 
-# 4-bit fields keep the 15-variable coefficient universe inside 63-bit keys
-# (numpy fast path); per-variable exponents in this pipeline stay <= 10.
+# 4-bit fields: per-variable exponents in this pipeline stay <= 10.
 AB_UNIVERSE = _cached(A_NAMES + B_NAMES, 4)
 FULL_UNIVERSE = _cached(A_NAMES + B_NAMES + X_NAMES, 4)
-
-_X_FIELD_BITS = 4 * len(X_NAMES)
-_X_MASK = (1 << _X_FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -47,8 +43,7 @@ class TernaryQuadricTriple:
         for f in (self.f1, self.f2, self.f3):
             if f.u != FULL_UNIVERSE:
                 raise ValueError("triple must live over the salmon universe")
-            mask, shifts = f.u._mask, f.u._shifts[-3:]
-            if any(sum((k >> sh) & mask for sh in shifts) != 2 for k in f.terms):
+            if any(sum(f.u.unpack(k)[-3:]) != 2 for k in f.terms):
                 raise ValueError("each form must be homogeneous of degree 2 in x")
 
     def __iter__(self):
@@ -103,15 +98,14 @@ def _x_coeff_row(p: Polynomial) -> list[Polynomial]:
     """Coefficients of a degree-2-in-x form in the x-basis order, as
     polynomials in the a/b block."""
     basis = monomial_basis(3, 2)
-    # x variables are the trailing three 4-bit fields of the full universe
-    pos = {(e[0] << 8) | (e[1] << 4) | e[2]: i for i, e in enumerate(basis)}
+    pos = {e: i for i, e in enumerate(basis)}
     buckets: list[dict[int, Scalar]] = [dict() for _ in basis]
     for k, c in p.terms.items():
-        xk = k & _X_MASK
-        i = pos.get(xk)
+        e = p.u.unpack(k)  # the x variables come last
+        i = pos.get(e[-3:])
         if i is None:
             raise ValueError("form is not homogeneous of degree 2 in x")
-        buckets[i][k >> _X_FIELD_BITS] = c
+        buckets[i][AB_UNIVERSE.pack(e[:-3])] = c
     return [Polynomial(AB_UNIVERSE, b) for b in buckets]
 
 

@@ -15,9 +15,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .polycore import Polynomial, Scalar, t_universe, univariate_coeffs
+from .polycore import Polynomial, Scalar, univariate_coeffs
 from .polymatrix import (
     SingularMatrixError,
     qmat_det,
@@ -166,22 +166,6 @@ def random_invertible(rng: random.Random, n: int,
 
 # hypersurface sampling ------------------------------------------------------
 
-_PARAMETRIZATIONS: dict[str, Callable] = {}
-
-
-def _param_key(f: Polynomial) -> str:
-    return "|".join(f.u.names) + "::" + f.canonical().to_text()
-
-
-def register_parametrization(f: Polynomial, fn: Callable) -> None:
-    """Register t -> point(t) with f(point(t)) = 0 identically; fn must be
-    polynomial in t (it is also called on symbolic t)."""
-    _PARAMETRIZATIONS[_param_key(f)] = fn
-
-
-def parametrization_for(f: Polynomial) -> Callable | None:
-    return _PARAMETRIZATIONS.get(_param_key(f))
-
 
 def _solve_linear_variable(f: Polynomial, rng: random.Random) -> list[Scalar] | None:
     """A linear solve in a variable of exponent exactly 1 everywhere in f,
@@ -205,19 +189,6 @@ def _solve_linear_variable(f: Polynomial, rng: random.Random) -> list[Scalar] | 
         if any(pt) and f.evaluate(pt) == 0:
             return pt
     raise RetryExhausted("linear solve kept hitting degenerate draws")
-
-
-def _point_on_parametrization(f: Polynomial, rng: random.Random) -> list[Scalar] | None:
-    """The registered rational curve of f at a random integer parameter."""
-    fn = parametrization_for(f)
-    if fn is None:
-        return None
-    for _ in range(RETRY_BUDGET):
-        t = Fraction(_rand_int(rng))
-        pt = [Fraction(x) for x in fn(t)]
-        if any(pt) and f.evaluate(pt) == 0:
-            return pt
-    raise RetryExhausted("parametrization produced no usable point")
 
 
 def _binary_root_point(f: Polynomial, rng: random.Random) -> list[Scalar] | None:
@@ -255,8 +226,7 @@ def _small_integer_point(f: Polynomial, rng: random.Random) -> list[Scalar] | No
 
 
 # tried in order; each returns None when it does not apply to the form
-_SAMPLERS = (_solve_linear_variable, _point_on_parametrization, _binary_root_point,
-             _small_integer_point)
+_SAMPLERS = (_solve_linear_variable, _binary_root_point, _small_integer_point)
 
 
 def sample_on_hypersurface(f: Polynomial, seed: int = 0,
@@ -265,9 +235,9 @@ def sample_on_hypersurface(f: Polynomial, seed: int = 0,
 
     The constructions in `_SAMPLERS` are tried in order, and the first
     that applies gives the point: a linear solve in a variable of
-    exponent 1, a registered rational curve, the rational-root theorem on
-    a two-variable form, then a search of the integer points with every
-    |x_i| <= SEARCH_HEIGHT (forms in at most SEARCH_MAX_VARS variables).
+    exponent 1, the rational-root theorem on a two-variable form, then a
+    search of the integer points with every |x_i| <= SEARCH_HEIGHT (forms
+    in at most SEARCH_MAX_VARS variables).
     One that applies but keeps failing raises `RetryExhausted`; when none
     applies, `NoStrategy` is raised.
     """
@@ -279,7 +249,7 @@ def sample_on_hypersurface(f: Polynomial, seed: int = 0,
         if pt is not None:
             return pt
     raise NoStrategy(
-        "no linear variable, no registered parametrization, no rational root, "
+        "no linear variable, no rational root, "
         f"no integer zero with every |x_i| <= {SEARCH_HEIGHT} "
         f"(searched up to {SEARCH_MAX_VARS} variables)")
 
@@ -361,9 +331,8 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
 
     Supported shapes: mu = (d) (a point on the hypersurface from
     `sample_on_hypersurface`, which raises `NoStrategy` when none of its
-    constructions applies), smallest part 1 (linear solve for v_1), or any
-    shape when f has a registered parametrization (rational-root search
-    along the curve).
+    constructions applies) and smallest part 1 (linear solve for v_1);
+    every other shape raises `UnsupportedPartition`.
     """
     if not isinstance(mu, PartitionType):
         mu = PartitionType(mu)
@@ -372,19 +341,15 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
         raise ValueError(f"form must be homogeneous of degree {mu.d}")
     if mu.s > n:
         raise ValueError("partition has more parts than the dimension")
-    s = mu.s
-    rng = random.Random(seed)
-
-    linear_first = mu.parts[0] == 1 and s > 1
-    parametrized = parametrization_for(f) is not None
-    if not (mu.parts == (d,) or linear_first or parametrized):
+    if mu.s > 1 and mu.parts[0] >= 2:
         raise UnsupportedPartition(
-            f"partition {mu.parts}: smallest part >= 2 and no parametrization "
-            "is registered for the form")
+            f"partition {mu.parts}: no exact construction when the smallest "
+            "part is >= 2")
 
+    rng = random.Random(seed)
     fmu = polarize(f, mu)
     for _ in range(RETRY_BUDGET):
-        vectors = _draw_mu_vectors(f, fmu, mu, n, rng, linear_first, parametrized)
+        vectors = _draw_mu_vectors(f, fmu, mu, n, rng)
         if vectors is None:
             continue
         if not _independent(vectors):
@@ -422,59 +387,32 @@ def _polar_value(fmu: Polynomial, vectors) -> Scalar:
     return fmu.evaluate([x for v in vectors for x in v])
 
 
-def _draw_mu_vectors(f, fmu, mu, n, rng, linear_first, parametrized):
+def _draw_mu_vectors(f, fmu, mu, n, rng):
     """One attempt at vectors (v_1, ..., v_s) with fmu(v) = 0, fmu the
-    mu-polarization of f; None to retry."""
-    s = mu.s
+    mu-polarization of f; None to retry.  mu is (d) or has smallest part 1."""
     if mu.parts == (mu.d,):
         try:
             return [sample_on_hypersurface(f, rng=rng)]
         except RetryExhausted:
             return None
 
-    if linear_first:
-        rest = [_rand_vector(rng, n) for _ in range(s - 1)]
-        if s > 1 and not _independent(rest):
-            return None
-        basis = qmat_identity(n)
-        coeffs = [_polar_value(fmu, [basis[j]] + rest) for j in range(n)]
-        if all(c == 0 for c in coeffs):
-            v1 = _rand_vector(rng, n)
-            return [v1] + rest
-        pivot = next(j for j, c in enumerate(coeffs) if c != 0)
-        w = _rand_vector(rng, n)
-        lam = Fraction(sum(c * x for c, x in zip(coeffs, w)), coeffs[pivot])
-        v1: list[Scalar] = list(w)
-        v1[pivot] = w[pivot] - lam
-        if not any(v1):
-            return None
+    # fmu is linear in v_1: draw v_2..v_s, then solve for v_1
+    rest = [_rand_vector(rng, n) for _ in range(mu.s - 1)]
+    if not _independent(rest):
+        return None
+    basis = qmat_identity(n)
+    coeffs = [_polar_value(fmu, [basis[j]] + rest) for j in range(n)]
+    if all(c == 0 for c in coeffs):
+        v1 = _rand_vector(rng, n)
         return [v1] + rest
-
-    # parametrized curve: solve for the first parameter by rational roots
-    # (small parameters keep the root-candidate factorizations cheap)
-    fn = parametrization_for(f)
-    ts = []
-    while len(ts) < s - 1:
-        t = Fraction(rng.randint(-9, 9))
-        if t not in ts:
-            ts.append(t)
-    rest = [[Fraction(x) for x in fn(t)] for t in ts]
-    ut = t_universe()
-    tvar = Polynomial.var(ut, "t")
-    sym = [c if isinstance(c, Polynomial) else Polynomial.const(ut, c)
-           for c in fn(tvar)]
-    g = _polar_value(fmu, [sym] + rest)
-    if not isinstance(g, Polynomial):
-        return None if g != 0 else [[Fraction(x) for x in fn(Fraction(_rand_int(rng)))]] + rest
-    if g.is_zero():
-        return [[Fraction(x) for x in fn(Fraction(_rand_int(rng)))]] + rest
-    for root in _rational_roots(univariate_coeffs(g)):
-        if root in ts:
-            continue
-        v1 = [Fraction(x) for x in fn(root)]
-        if any(v1):
-            return [v1] + rest
-    return None
+    pivot = next(j for j, c in enumerate(coeffs) if c != 0)
+    w = _rand_vector(rng, n)
+    lam = Fraction(sum(c * x for c, x in zip(coeffs, w)), coeffs[pivot])
+    v1: list[Scalar] = list(w)
+    v1[pivot] = w[pivot] - lam
+    if not any(v1):
+        return None
+    return [v1] + rest
 
 
 # special loci ---------------------------------------------------------------
@@ -529,16 +467,3 @@ def special_locus_matrix(kind: str, n: int, seed: int = 0) -> dict:
             raise AssertionError("Jordan construction fault")  # pragma: no cover
         return {"A": A, "certificate": cert}
     raise ValueError(f"unknown kind {kind!r}")
-
-
-# default registrations -------------------------------------------------------
-
-
-def _register_defaults():
-    from .polycore import parse_polynomial, x_universe
-
-    conic = parse_polynomial("x2^2-x1*x3", x_universe(3))
-    register_parametrization(conic, lambda t: (1, t, t * t))
-
-
-_register_defaults()

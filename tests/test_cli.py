@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -18,15 +19,28 @@ from kalmanvar.cli import (
     main,
 )
 from kalmanvar.enumerative import NonIntegralDegree, degrees_table_csv
+from kalmanvar.kalman import KalmanInstance, kalman_matrix
 from kalmanvar.polycore import UniverseMismatch, a_universe, parse_polynomial, x_universe
 from kalmanvar.veronese import sym_power
 from kalmanvar.polymatrix import PolyMatrix
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def validate_audit_report(obj):
+    import jsonschema
+
+    schema_text = (
+        importlib.resources.files("kalmanvar") / "schemas" / "audit_report.schema.json"
+    ).read_text()
+    jsonschema.validate(obj, json.loads(schema_text))
 
 
 # -- argument checks -----------------------------------------------------------
@@ -111,6 +125,25 @@ def test_kalman_det_matches_library(capsys):
     assert det == expect
 
 
+def test_kalman_matrix_json(capsys):
+    rc, out, _ = run(capsys, ["kalman-matrix", "--f", "x1^2-x2^2", "--format", "json"])
+    assert rc == EXIT_OK
+    obj = json.loads(out)
+    assert (obj["n"], obj["d"], obj["p"], obj["N"], obj["shape"]) == (2, 2, 1, 3, [3, 3])
+    inst = KalmanInstance.from_form(parse_polynomial("x1^2-x2^2", x_universe(2)))
+    assert obj["matrix"] == kalman_matrix(inst, PolyMatrix.generic(2)).to_json_obj()
+
+
+@pytest.mark.parametrize("form,N", [("x1^7 + x2^7", 8), ("x1^2 + x2^2 + x3^2 + x4^2", 10)])
+def test_kalman_det_beyond_size_limit_is_input_error(capsys, form, N):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["kalman-det", "--f", form])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_PARSE
+    assert not out
+    assert f"size N = {N}; the limit is MAX_DET_N = 7" in err
+
+
 def test_kalman_det_json(capsys):
     rc, out, _ = run(capsys, ["kalman-det", "--f", "x1^2-x2^2", "--format", "json"])
     assert rc == EXIT_OK
@@ -148,13 +181,28 @@ def test_audit_passes_and_validates_schema(capsys):
     assert rc == EXIT_OK
     obj = json.loads(out)
     assert obj["status"] == "pass"
+    validate_audit_report(obj)
 
-    import jsonschema
 
-    schema_text = (
-        importlib.resources.files("kalmanvar") / "schemas" / "audit_report.schema.json"
-    ).read_text()
-    jsonschema.validate(obj, json.loads(schema_text))
+@pytest.mark.parametrize("form,errors", [
+    ("x1^3 + 2*x2^3 + 4*x3^3", [[3]]),
+    ("x1^4 - x2^4 + x1*x2^3", [[4], [2, 2]]),
+])
+def test_audit_witness_errors_exit_check_failed(capsys, form, errors):
+    rc, out, err = run(capsys, ["audit", "--f", form, "--trials", "2", "--format", "json"])
+    assert rc == EXIT_CHECK_FAILED
+    assert not out
+    obj = json.loads(err)
+    validate_audit_report(obj)
+    assert obj["status"] == "error"
+    cases = obj["assertions"][1]["certificate"]["cases"]
+    assert sorted(c["mu"] for c in cases if c["status"] == "error") == sorted(errors)
+    rc, out, err = run(capsys, ["audit", "--f", form, "--trials", "2"])
+    assert rc == EXIT_CHECK_FAILED
+    assert err.splitlines()[2:] == ["  mu_witness_vanishing: error",
+                                    "  collision_vanishing: pass",
+                                    "  generic_nonvanishing: pass",
+                                    "overall: error"]
 
 
 def test_audit_byte_identical_for_fixed_seed(capsys):
@@ -215,10 +263,19 @@ def test_degrees_report(capsys):
     assert obj["values"]["deg_det_K_d"] == 30
 
 
+def test_degrees_text_matches_readme(capsys):
+    readme = (ROOT / "README.md").read_text().splitlines()
+    start = readme.index("$ kalmanvar degrees --n 3 --d 2") + 1
+    block = readme[start:readme.index("```", start)]
+    rc, out, _ = run(capsys, ["degrees", "--n", "3", "--d", "2"])
+    assert rc == EXIT_OK
+    assert out.splitlines() == block
+
+
 def test_degrees_table_csv_matches_fixture(capsys):
     rc, out, _ = run(capsys, ["degrees", "--table"])
     assert rc == EXIT_OK
-    golden = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "degrees_table.csv"
+    golden = ROOT / "fixtures" / "degrees_table.csv"
     assert out == golden.read_text()
     assert out == degrees_table_csv()
 
@@ -230,6 +287,22 @@ def test_chow_ctilde(capsys):
     rc, out, _ = run(capsys, ["chow", "--n", "3", "--s", "3", "--ctilde"])
     assert rc == EXIT_OK
     assert out.strip() == "6"
+
+
+def test_chow_ctilde_json(capsys):
+    rc, out, _ = run(capsys, ["chow", "--n", "3", "--s", "3", "--ctilde", "--format", "json"])
+    assert rc == EXIT_OK
+    assert json.loads(out) == {"n": 3, "s": 3, "ctilde": 6}
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_chow_default_class_text(capsys, s):
+    from kalmanvar.chow import class_Wtilde, fixture_Wtilde3
+
+    rc, out, _ = run(capsys, ["chow", "--n", "3", "--s", str(s)])
+    assert rc == EXIT_OK
+    expect = fixture_Wtilde3() if s == 3 else class_Wtilde(3, s)
+    assert out == expect.to_text() + "\n"
 
 
 def test_chow_class_roundtrip(capsys):
@@ -286,7 +359,7 @@ def test_witness_point_text(capsys):
 
 
 def test_witness_point_by_integer_search(capsys):
-    # no linear variable, parametrization or binary form: the box search
+    # no linear variable and not a binary form: the box search
     rc, out, _ = run(capsys, ["witness", "--f", "x1^2 + x2^2 - x3^2", "--format", "json"])
     assert rc == EXIT_OK
     obj = json.loads(out)

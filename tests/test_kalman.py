@@ -16,8 +16,10 @@ import kalmanvar.polycore as polycore
 from conftest import matrices
 from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
 from kalmanvar.kalman import (
+    MAX_DET_N,
     KalmanInstance,
     LineRestrictionZero,
+    ProblemTooLarge,
     RankDeficientC,
     delta_at,
     delta_d_at,
@@ -28,12 +30,13 @@ from kalmanvar.kalman import (
     kalman_matrix_at,
     membership_necessary,
 )
-from kalmanvar.polycore import parse_polynomial, x_universe
+from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
 from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_rank
-from kalmanvar.veronese import sym_power_scalar
+from kalmanvar.veronese import basis_size, sym_power_scalar
 from kalmanvar.witness import (
     matrix_with_eigenvectors,
     EigenSpec,
+    derive_seed,
     random_invertible,
     special_locus_matrix,
 )
@@ -233,6 +236,45 @@ def test_kalman_det_uncertified_products_match_dict_loop(monkeypatch, form):
     assert kalman_det(f) == with_numpy
 
 
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("text,n,N", [
+    ("x1^6 + 2*x1*x2^5 - 3*x2^6", 2, 7),
+    ("x1^7 + 2*x1*x2^6 - 3*x2^7", 2, 8),
+    ("x1 + x2 + x3 + x4 + x5 + x6 - x7", 7, 7),
+    ("x1 + x2 + x3 + x4 + x5 + x6 + x7 - x8", 8, 8),
+    ("x1^2 + x2^2 + x3^2 + x4^2", 4, 10),
+])
+def test_kalman_det_size_limit_edge(monkeypatch, text, n, N):
+    # N <= MAX_DET_N reaches the matrix build; a larger N is rejected first
+    def build(*args):
+        raise _Reached
+
+    monkeypatch.setattr(kalman, "kalman_matrix", build)
+    f = parse_polynomial(text, x_universe(n))
+    if N <= MAX_DET_N:
+        with pytest.raises(_Reached):
+            kalman_det(f)
+    else:
+        with pytest.raises(ProblemTooLarge, match=f"N = {N}; the limit is MAX_DET_N = 7"):
+            kalman_det(f)
+
+
+def test_accepted_determinants_fit_the_exponent_field():
+    # N grows with n and d, so for n >= 2 every accepted (n, d) lies in the
+    # box below; for n = 1, N = 1 and the determinant is constant
+    assert basis_size(2, MAX_DET_N) > MAX_DET_N
+    assert basis_size(MAX_DET_N + 1, 1) > MAX_DET_N
+    accepted = [(n, d) for n in range(1, MAX_DET_N + 1) for d in range(1, MAX_DET_N + 1)
+                if basis_size(n, d) <= MAX_DET_N]
+    assert (2, 6) in accepted and (3, 2) in accepted and (7, 1) in accepted
+    for n, d in accepted:
+        # deg det K_d = d * C(N, 2) bounds every exponent of every minor
+        a_universe(n).check_product_exponent(d * math.comb(basis_size(n, d), 2))
+
+
 def test_kalman_det_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         kalman_det(parse_polynomial("x1^2 + x2", x_universe(2)))
@@ -379,6 +421,35 @@ def test_audit_passes_cubic_without_linear_variable(seed):
     # mu = (3) needs a point on the cubic; only the integer search finds one
     f = parse_polynomial("x1^3 + x2^3 - x3^3 + x1*x2*x3", x_universe(3))
     assert factorization_audit(f, trials=20, seed=seed)["status"] == "pass"
+
+
+NO_POINT = ("no linear variable, no rational root, no integer zero with every "
+            "|x_i| <= 3 (searched up to 5 variables)")
+
+
+@pytest.mark.parametrize("text,n,errors", [
+    ("x1^3 + 2*x2^3 + 4*x3^3", 3, {(3,): NO_POINT}),
+    ("x1^4 - x2^4 + x1*x2^3", 2, {
+        (4,): NO_POINT,
+        (2, 2): "partition (2, 2): no exact construction when the smallest part is >= 2",
+    }),
+])
+def test_audit_reports_witness_errors(text, n, errors):
+    rep = factorization_audit(parse_polynomial(text, x_universe(n)), trials=2, seed=0)
+    statuses = {a["assertion"]: a["status"] for a in rep["assertions"]}
+    assert statuses == {"degree_budget": "pass", "mu_witness_vanishing": "error",
+                        "collision_vanishing": "pass", "generic_nonvanishing": "pass"}
+    assert rep["status"] == "error"
+    cases = rep["assertions"][1]["certificate"]["cases"]
+    assert len(cases) > len(errors)
+    for k, case in enumerate(cases):
+        mu = tuple(case["mu"])
+        if mu in errors:
+            assert case == {"mu": list(mu), "witness_seed": derive_seed(0, 1_000_000 + k),
+                            "status": "error", "reason": errors[mu]}
+        else:
+            assert list(case) == ["mu", "witness_seed", "status", "det_value", "certificate"]
+            assert case["status"] == "pass" and case["det_value"] == "0"
 
 
 def test_audit_d1_collision_note():

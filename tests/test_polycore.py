@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,26 @@ def test_specialize_and_evaluate():
     assert p.specialize({"x3": Fraction(2)}) == P("x1^2 - 2*x2")
     assert p.evaluate((Fraction(3), Fraction(1), Fraction(2))) == 7
     assert p.evaluate((Fraction(1), Fraction(1), Fraction(1))) == 0
+
+
+def test_evaluate_value_types():
+    p = P("x1^2 - x2*x3")
+    assert type(p.evaluate((2, 1, 3))) is int
+    assert type(p.evaluate((Fraction(2), Fraction(1, 3), Fraction(3)))) is int
+    assert p.evaluate((Fraction(1, 2), 0, 0)) == Fraction(1, 4)
+
+
+def test_evaluate_builds_only_the_powers_that_occur():
+    # every power of 3/2 up to the 20000th, tabulated, would take ~70 MB
+    p = P("x1^20000*x2 + 1", Universe(("x1", "x2"), 16))
+    tracemalloc.start()
+    try:
+        value = p.evaluate((Fraction(3, 2), 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(3 ** 20000 + 2 ** 20000, 2 ** 20000)
+    assert peak < 4_000_000
 
 
 def test_convert_between_universes():

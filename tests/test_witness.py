@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import U2, U3
+from kalmanvar.enumerative import partitions
 from kalmanvar.kalman import KalmanInstance, kalman_det, membership_necessary
 from kalmanvar.polycore import parse_polynomial, x_universe
 from kalmanvar.polymatrix import qmat_det, qmat_rank, qmat_vec
@@ -26,9 +27,7 @@ from kalmanvar.witness import (
     derive_seed,
     matrix_with_eigenvectors,
     mu_witness,
-    parametrization_for,
     random_invertible,
-    register_parametrization,
     rho_simple_eigenvalues,
     sample_on_hypersurface,
     special_locus_matrix,
@@ -148,16 +147,13 @@ def test_sample_binary_roots():
         assert F23.evaluate(tuple(w)) == 0
 
 
-def test_sample_parametrization():
-    # the conic carries a registered rational parametrization
-    assert parametrization_for(F32) is not None
+def test_sample_conic():
     v = sample_on_hypersurface(F32, seed=2)
     assert F32.evaluate(tuple(v)) == 0
 
 
 def test_sample_no_strategy():
-    # ternary cubic with no linear variable, no registered parametrization,
-    # n > 2 and no nonzero rational zero
+    # ternary cubic: no linear variable, n > 2, no nonzero rational zero
     f = parse_polynomial("x1^3 + 2*x2^3 + 4*x3^3", U3)
     with pytest.raises(NoStrategy):
         sample_on_hypersurface(f, seed=0)
@@ -181,11 +177,8 @@ def test_sample_integer_search_variable_limit():
         sample_on_hypersurface(parse_polynomial(text, x_universe(n)), seed=0)
 
 
-def test_register_parametrization_roundtrip():
+def test_sample_flipped_conic():
     f = parse_polynomial("x1*x3 - x2^2", U3)  # same conic, flipped sign
-    if parametrization_for(f) is None:
-        register_parametrization(f, lambda t: (1, t, t * t))
-    assert parametrization_for(f) is not None
     v = sample_on_hypersurface(f, seed=8)
     assert f.evaluate(tuple(v)) == 0
 
@@ -209,8 +202,6 @@ CASES = [
 
 @pytest.mark.parametrize("f,n,d", CASES)
 def test_mu_witness_all_partitions(f, n, d):
-    from kalmanvar.enumerative import partitions
-
     for mu in partitions(d, n):
         for trial in range(3):
             w = mu_witness(f, mu.parts, n, seed=derive_seed(42, trial))
@@ -243,8 +234,21 @@ def test_mu_witness_deterministic():
 
 def test_mu_witness_unsupported_partition():
     f = parse_polynomial("x1^4 - x2^4 + x1*x2^3", U2)
-    with pytest.raises(UnsupportedPartition):
+    with pytest.raises(UnsupportedPartition) as e:
         mu_witness(f, (2, 2), 2, seed=0)
+    assert str(e.value) == ("partition (2, 2): no exact construction when the "
+                            "smallest part is >= 2")
+
+
+def test_mu_witness_unsupported_exactly_when_smallest_part_exceeds_one():
+    f = parse_polynomial("x1*x2^3 - x3^4", U3)
+    for mu in partitions(4, 3):
+        if mu.s > 1 and mu.parts[0] >= 2:
+            with pytest.raises(UnsupportedPartition):
+                mu_witness(f, mu, 3, seed=1)
+        else:
+            w = mu_witness(f, mu, 3, seed=1)
+            assert polarize_value(f, mu.parts, w.vectors) == 0
 
 
 def test_mu_witness_validation():
