@@ -11,20 +11,29 @@ consequences drive the whole design:
   * monomial multiplication is integer addition of keys.
 
 Coefficient arithmetic stays in plain ints on pure-integer inputs, which is
-the common case for every determinant in this package.  Integer products of
-4096 or more term pairs go to one numpy kernel (`_np_mul`): keys rebased to
-an index over the product's exponent box, one sort per chunk of pairs, and a
-segmented sum.  The l1*linf coefficient certificate only picks how values are
-held (int64, two int64 limbs, or exact Python ints in object arrays), so
-results are bit-identical to the portable path.  The dict double loop in
-`Polynomial.__mul__` is that portable path: it serves rational coefficients,
-boxes too wide to pack, small products and runs without numpy.
+the common case for every determinant in this package.  Products are sums
+of products: `sum_of_products` takes `(sign, p, q)` triples, `p * q` is one
+triple, and the cofactor determinant builds each minor from one call.
+Integer sums of 4096 or more term pairs go to one numpy kernel (`_np_mul`):
+keys rebased to an index over the sum's exponent box, one sort per chunk of
+pairs, and a segmented sum.  The l1*linf coefficient certificate only picks
+how values are held (int64, two int64 limbs, or exact Python ints in object
+arrays), so results are bit-identical to the portable path.  The dict loop
+that accumulates every pair of every triple is that portable path: it
+serves rational coefficients, boxes too wide to pack, small sums and runs
+without numpy.
+
+Exact division is recursive: long division in the divisor's most
+significant varying variable, each slice of the quotient an exact division
+by the divisor's leading slice, the subtractions ordinary products.  A
+divisor whose terms differ in at most one variable takes a heap loop.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -237,14 +246,9 @@ class Polynomial:
     def var_maxes(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over all terms."""
         if self._vmax is None:
-            m = self.u._mask
-            out = [0] * self.u.nvars
-            for k in self.terms:
-                for i, sh in enumerate(self.u._shifts):
-                    e = (k >> sh) & m
-                    if e > out[i]:
-                        out[i] = e
-            self._vmax = tuple(out)
+            m, keys = self.u._mask, self.terms.keys()
+            self._vmax = tuple(max(map((m << sh).__and__, keys), default=0) >> sh
+                               for sh in self.u._shifts)
         return self._vmax
 
     def _norm_info(self):
@@ -325,7 +329,7 @@ class Polynomial:
         for k, c in b.items():
             v = out.get(k, 0) + c
             if v:
-                out[k] = _demote(v)
+                out[k] = v if type(v) is int else _demote(v)
             else:
                 out.pop(k, None)
         return Polynomial(self.u, out)
@@ -345,7 +349,7 @@ class Polynomial:
         for k, c in other.terms.items():
             v = out.get(k, 0) - c
             if v:
-                out[k] = _demote(v)
+                out[k] = v if type(v) is int else _demote(v)
             else:
                 out.pop(k, None)
         return Polynomial(self.u, out)
@@ -367,26 +371,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        if not self.terms or not other.terms:
-            return Polynomial(self.u, {})
-        u = self.u
-        va, vb = self.var_maxes(), other.var_maxes()
-        u.check_product_exponent(max((x + y for x, y in zip(va, vb)), default=0))
-        if _np is not None and len(self.terms) * len(other.terms) >= 4096:
-            out = _np_mul(self, other)
-            if out is not None:
-                return Polynomial(u, out)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict[int, Scalar] = {}
-        get = acc.get
-        bi = list(b.items())
-        for k1, c1 in a.items():
-            for k2, c2 in bi:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        return Polynomial(u, _clean_terms(acc))
+        return sum_of_products(self.u, [(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -412,47 +397,11 @@ class Polynomial:
             raise DivisionByZeroPolynomial("division by zero polynomial")
         if self.is_zero():
             return Polynomial(self.u, {})
-        u = self.u
-        qk, qc = q.leading()
-        qfields = u.unpack(qk)
-        q_rest = [(k, c) for k, c in q.terms.items() if k != qk]
-        r = dict(self.terms)
-        heap = [-k for k in r]
-        heapq.heapify(heap)
-        out: dict[int, Scalar] = {}
-        unpack = u.unpack
-        qc_is_int = type(qc) is int
-        while r:
-            while True:
-                k = -heap[0]
-                if k in r:
-                    break
-                heapq.heappop(heap)
-            c = r.pop(k)
-            kf = unpack(k)
-            if any(x < y for x, y in zip(kf, qfields)):
-                raise NotDivisible("remainder nonzero")
-            s = k - qk
-            if qc_is_int and type(c) is int:
-                d, mrem = divmod(c, qc)
-                cc = d if mrem == 0 else Fraction(c, qc)
-            else:
-                cc = _demote(Fraction(c) / qc if not isinstance(c, Fraction) else c / qc)
-            out[s] = cc
-            for k2, c2 in q_rest:
-                kk = s + k2
-                if kk in r:
-                    v = r[kk] - cc * c2
-                    if v:
-                        r[kk] = _demote(v)
-                    else:
-                        del r[kk]
-                else:
-                    # fresh key: one heap entry is enough; keys that later
-                    # cancel and reappear are re-pushed on reappearance
-                    r[kk] = _demote(-cc * c2)
-                    heapq.heappush(heap, -kk)
-        return Polynomial(u, {k: c for k, c in out.items() if c})
+        # deg_x(q*h) = deg_x(q) + deg_x(h) in every variable x
+        box = tuple(a - b for a, b in zip(self.var_maxes(), q.var_maxes()))
+        if min(box, default=0) < 0:
+            raise NotDivisible("remainder nonzero")
+        return _divide(self, q, box)
 
     def divides(self, p: "Polynomial") -> bool:
         try:
@@ -569,7 +518,9 @@ class Polynomial:
         lead = max(ints)
         sign = 1 if ints[lead] > 0 else -1
         g *= sign
-        return Polynomial(self.u, {k: c // g for k, c in ints.items()})
+        out = Polynomial(self.u, {k: c // g for k, c in ints.items()})
+        out._vmax = self._vmax  # same keys
+        return out
 
     # -- text form --------------------------------------------------------
 
@@ -578,23 +529,18 @@ class Polynomial:
             return "0"
         u = self.u
         m = u._mask
+        tables = [(_Factors(nm), sh) for nm, sh in zip(u.names, u._shifts)]
         parts = []
         for k, c in self.terms_sorted():
             neg = c < 0
             a = -c if neg else c
-            factors = []
-            for i, sh in enumerate(u._shifts):
-                e = (k >> sh) & m
-                if e == 1:
-                    factors.append(u.names[i])
-                elif e > 1:
-                    factors.append(f"{u.names[i]}^{e}")
-            if not factors:
+            mono = "".join([tab[(k >> sh) & m] for tab, sh in tables])[:-1]
+            if not mono:
                 body = str(a)
             elif a == 1:
-                body = "*".join(factors)
+                body = mono
             else:
-                body = str(a) + "*" + "*".join(factors)
+                body = f"{a}*{mono}"
             if not parts:
                 parts.append(("-" if neg else "") + body)
             else:
@@ -602,8 +548,170 @@ class Polynomial:
         return "".join(parts)
 
 
+class _Factors(dict):
+    """One variable's text factor by exponent: "", "name*" or "name^e*",
+    made on first use."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        s = self[e] = "" if e == 0 else f"{self.name}*" if e == 1 else f"{self.name}^{e}*"
+        return s
+
+
 def _clean_terms(acc: dict[int, Scalar]) -> dict[int, Scalar]:
     return {k: _demote(c) for k, c in acc.items() if c}
+
+
+# exact division ----------------------------------------------------------
+
+
+def _divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
+    """p / q for nonzero p and q, or NotDivisible, as soon as the remainder
+    shows it or a quotient term leaves `box` (per-variable exponent bounds).
+
+    Long division in x, the most significant variable in which q's terms
+    differ.  The remainder's top slice (its coefficient of the highest power
+    of x) is divided by q's leading slice, recursively, and that quotient
+    slice times each other slice of q is subtracted by Polynomial
+    arithmetic, so large products take the kernel.  When q's terms differ
+    in at most one variable the heap loop runs instead.
+    """
+    u = p.u
+    m = u._mask
+    varying = [i for i, sh in enumerate(u._shifts)
+               if len(set(map((m << sh).__and__, q.terms))) > 1]
+    if len(varying) < 2:
+        return _heap_divide(p, q, box)
+    i = varying[0]
+    field = m << u._shifts[i]
+    s_max = box[i] << u._shifts[i]
+    qs = _slices(q, field)
+    top = max(qs)
+    lead = qs.pop(top)
+    rest = [(e - top, -s) for e, s in qs.items()]
+    rem = _slices(p, field)
+    out: dict[int, Scalar] = {}
+    while rem:
+        e = max(rem)
+        s = e - top
+        if s < 0 or s > s_max:
+            raise NotDivisible("remainder nonzero")
+        h = _divide(rem.pop(e), lead, box)
+        out.update({k + s: c for k, c in h.terms.items()})
+        for de, nq in rest:
+            t = e + de
+            prod = h * nq
+            if t in rem:
+                prod = rem[t] + prod
+            if prod.terms:
+                rem[t] = prod
+            else:
+                rem.pop(t, None)
+    return Polynomial(u, out)
+
+
+def _slices(p: Polynomial, field: int) -> dict[int, Polynomial]:
+    """p's terms grouped by the value of one exponent field, which each
+    slice has cleared."""
+    out: dict[int, dict[int, Scalar]] = {}
+    for k, c in p.terms.items():
+        e = k & field
+        t = out.get(e)
+        if t is None:
+            t = out[e] = {}
+        t[k ^ e] = c
+    return {e: Polynomial(p.u, t) for e, t in out.items()}
+
+
+def _heap_divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
+    """p / q by leading terms, the remainder's largest key taken from a heap."""
+    u = p.u
+    qk, qc = q.leading()
+    lo = u.unpack(qk)
+    hi = tuple(a + b for a, b in zip(lo, box))
+    q_rest = [(k, c) for k, c in q.terms.items() if k != qk]
+    r = dict(p.terms)
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    out: dict[int, Scalar] = {}
+    unpack = u.unpack
+    qc_is_int = type(qc) is int
+    while r:
+        while True:
+            k = -heap[0]
+            if k in r:
+                break
+            heapq.heappop(heap)
+        c = r.pop(k)
+        # the quotient term k - qk must have every exponent in [0, box]
+        kf = unpack(k)
+        if any(map(operator.lt, kf, lo)) or any(map(operator.gt, kf, hi)):
+            raise NotDivisible("remainder nonzero")
+        s = k - qk
+        if qc_is_int and type(c) is int:
+            d, mrem = divmod(c, qc)
+            cc = d if mrem == 0 else Fraction(c, qc)
+        else:
+            cc = _demote(Fraction(c) / qc if not isinstance(c, Fraction) else c / qc)
+        out[s] = cc
+        for k2, c2 in q_rest:
+            kk = s + k2
+            if kk in r:
+                v = r[kk] - cc * c2
+                if v:
+                    r[kk] = _demote(v)
+                else:
+                    del r[kk]
+            else:
+                # fresh key: one heap entry is enough; keys that later
+                # cancel and reappear are re-pushed on reappearance
+                r[kk] = _demote(-cc * c2)
+                heapq.heappush(heap, -kk)
+    return Polynomial(u, out)
+
+
+# sums of products ----------------------------------------------------------
+
+
+def sum_of_products(u: Universe,
+                    triples: Sequence[tuple[int, Polynomial, Polynomial]]) -> Polynomial:
+    """The exact sum of sign*p*q over `(sign, p, q)` triples, sign 1 or -1.
+
+    The exponent field is checked on the largest exponent the sum can hold
+    before any work.  With numpy, integer sums of 4096 or more term pairs
+    go to `_np_mul`.  The portable path, which also serves every sum the
+    kernel declines, accumulates every pair of every triple into one dict.
+    """
+    top = pairs = 0
+    live = []
+    for t in triples:
+        _, p, q = t
+        if p.terms and q.terms:
+            live.append(t)
+            top = max(top, 0, *map(operator.add, p.var_maxes(), q.var_maxes()))
+            pairs += len(p.terms) * len(q.terms)
+    u.check_product_exponent(top)
+    if _np is not None and pairs >= 4096:
+        out = _np_mul(live)
+        if out is not None:
+            return out
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for sign, p, q in live:
+        a, b = p.terms, q.terms
+        if len(a) > len(b):
+            a, b = b, a
+        bi = list(b.items())
+        for k1, c1 in a.items():
+            if sign < 0:
+                c1 = -c1
+            for k2, c2 in bi:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return Polynomial(u, _clean_terms(acc))
 
 
 # numpy product kernel -----------------------------------------------------
@@ -617,77 +725,108 @@ _CHUNK_I64 = 1 << 21
 _CHUNK_OBJ = 1 << 16
 
 
-def _np_mul(p: Polynomial, q: Polynomial):
-    """Exact product terms by one sort-and-sum kernel, or None when it declines.
+def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
+    """The sum of sign*p*q over nonempty triples by one sort-and-sum kernel,
+    as a Polynomial with its `var_maxes` set, or None when it declines.
 
     Keys are rebased, on the operands only, to a mixed-radix index over the
-    product's exponent box (dims_i = va_i + vb_i + 1, first variable most
-    significant): the map is additive and keeps the key order.  The outer
-    product is taken a chunk of term pairs at a time.  Each chunk and the
-    running accumulator are reduced by one in-place sort of
-    (index << b) | position and a segmented sum; accumulator entries carry the
-    all-ones position, which no pair has, and keep their order in the sort.
+    sum's exponent box (dims_i = max over triples of vp_i + vq_i, plus 1;
+    first variable most significant): the map is additive and keeps the key
+    order.  The outer products are taken whole rows of the smaller operand
+    at a time, rows of different triples sharing a chunk, and no chunk
+    holds more pairs than the largest single product would take alone.
+    Each chunk and the running accumulator are reduced by one in-place sort
+    of (index << b) | position and a segmented sum; accumulator entries
+    carry the all-ones position, which no pair has, and keep their order in
+    the sort.
 
     The certificate picks how values are held.  Every output coefficient is
-    a sum of products whose absolute values total at most
-    min(l1_p*linf_q, linf_p*l1_q): below 2**62 the sums are int64.  Failing
-    that, when every product is below 2**62 and there are fewer than 2**31
-    pairs, each product is split into two int64 limbs (v >> 31, v & (2**31-1))
-    whose sums stay below 2**62, and the limbs are joined as Python ints per
-    output term.  Otherwise the values are exact Python ints in object arrays,
-    with a smaller chunk.  Every way, the terms equal the dict loop's.
+    a sum of products whose absolute values total at most the sum over
+    triples of min(l1_p*linf_q, linf_p*l1_q): below 2**62 the sums are
+    int64.  Failing that, when every product is below 2**62 and there are
+    fewer than 2**31 pairs, each product is split into two int64 limbs
+    (v >> 31, v & (2**31-1)) whose sums stay below 2**62, and the limbs are
+    joined as Python ints per output term.  Otherwise the values are exact
+    Python ints in object arrays, with a smaller chunk.  Every way, the
+    terms equal the dict loop's.
 
     The kernel declines before building any array: on non-integer
-    coefficients, and when the largest box index shifted by the position bits
-    does not fit 63 bits.
+    coefficients, and when the largest box index shifted by the position
+    bits does not fit 63 bits.
     """
-    l1p, lip, aip = p._norm_info()
-    l1q, liq, aiq = q._norm_info()
-    if not (aip and aiq):
-        return None
-    if len(p.terms) > len(q.terms):
-        p, q = q, p
-    lp, lq = len(p.terms), len(q.terms)
-    if min(l1p * liq, lip * l1q) < _I64_SAFE:
+    ops = []
+    bound = 0
+    products_fit = True
+    for sign, p, q in triples:
+        l1p, lip, aip = p._norm_info()
+        l1q, liq, aiq = q._norm_info()
+        if not (aip and aiq):
+            return None
+        bound += min(l1p * liq, lip * l1q)
+        products_fit = products_fit and lip * liq < _I64_SAFE
+        ops.append((sign, p, q) if len(p.terms) <= len(q.terms) else (sign, q, p))
+    pairs = sum(len(p.terms) * len(q.terms) for _, p, q in ops)
+    if bound < _I64_SAFE:
         vdt, limbs, budget = "int64", 1, _CHUNK_I64
-    elif lip * liq < _I64_SAFE and lp * lq < _I64_SAFE >> _LIMB:
+    elif products_fit and pairs < _I64_SAFE >> _LIMB:
         vdt, limbs, budget = "int64", 2, _CHUNK_I64 // 2
     else:
         vdt, limbs, budget = object, 1, _CHUNK_OBJ
-    dims = [x + y + 1 for x, y in zip(p.var_maxes(), q.var_maxes())]
+    u = ops[0][1].u
+    dims = [1] * u.nvars
+    for _, p, q in ops:
+        dims = [max(d, x + y + 1) for d, x, y in zip(dims, p.var_maxes(), q.var_maxes())]
     box = math.prod(dims)
-    step = max(1, budget // lq)
-    b = (step * lq).bit_length()
+    cap = max(min(len(p.terms), max(1, budget // len(q.terms))) * len(q.terms)
+              for _, p, q in ops)
+    b = cap.bit_length()
     if (box - 1).bit_length() + b > 63:
         return None
+    # chunks of (op, first row, end row) segments, cap pairs at most
+    chunks: list[tuple[list, int]] = [([], 0)]
+    for t, (_, p, q) in enumerate(ops):
+        lp, lq = len(p.terms), len(q.terms)
+        r = 0
+        while r < lp:
+            segs, used = chunks[-1]
+            rows = min(lp - r, (cap - used) // lq)
+            if rows == 0:
+                chunks.append(([], 0))
+                continue
+            segs.append((t, r, r + rows))
+            chunks[-1] = (segs, used + rows * lq)
+            r += rows
 
-    u = p.u
     strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
-    digits = [(sh, s, d) for sh, s, d in zip(u._shifts, strides, dims) if d > 1]
+    digits = [(i, sh, s, d) for i, (sh, s, d) in enumerate(zip(u._shifts, strides, dims)) if d > 1]
     kdt = "uint64" if u.bits * u.nvars <= 64 else object
 
-    def rebase(terms):
+    def rebase(terms, sign=1):
         keys = _np.fromiter(terms.keys(), dtype=kdt, count=len(terms))
         idx = _np.zeros(len(terms), dtype=_np.int64)
-        for sh, s, _ in digits:
+        for _, sh, s, _ in digits:
             idx += ((keys >> sh) & u._mask).astype(_np.int64) * (s << b)
-        return idx, _np.fromiter(terms.values(), dtype=vdt, count=len(terms))
+        vals = terms.values() if sign > 0 else map(operator.neg, terms.values())
+        return idx, _np.fromiter(vals, dtype=vdt, count=len(terms))
 
-    pk, pv = rebase(p.terms)
-    qk, qv = rebase(q.terms)
+    operands = [(*rebase(p.terms, sign), *rebase(q.terms)) for sign, p, q in ops]
     low = (1 << b) - 1
     acc_k = _np.empty(0, dtype=_np.int64)
     acc_v = _np.empty((limbs, 0), dtype=vdt)
-    for r in range(0, lp, step):
-        rows = min(step, lp - r)
-        m = rows * lq
+    for segs, m in chunks:
         n = m + len(acc_k)
         key = _np.empty(n, dtype=_np.int64)
         val = _np.empty((limbs, n), dtype=vdt)
-        _np.add(pk[r:r + rows, None], qk, out=key[:m].reshape(rows, lq))
+        at = 0
+        for t, r0, r1 in segs:
+            pk, pv, qk, qv = operands[t]
+            shape = (r1 - r0, len(qk))
+            end = at + shape[0] * shape[1]
+            _np.add(pk[r0:r1, None], qk, out=key[at:end].reshape(shape))
+            _np.multiply(pv[r0:r1, None], qv, out=val[0, at:end].reshape(shape))
+            at = end
         key[:m] |= _np.arange(m, dtype=_np.int64)
         key[m:] = acc_k
-        _np.multiply(pv[r:r + rows, None], qv, out=val[0, :m].reshape(rows, lq))
         if limbs == 2:
             _np.bitwise_and(val[0, :m], (1 << _LIMB) - 1, out=val[1, :m])
             val[0, :m] >>= _LIMB
@@ -708,9 +847,15 @@ def _np_mul(p: Polynomial, q: Polynomial):
     nz = vals != 0
     idx = acc_k[nz] >> b
     keys = _np.zeros(len(idx), dtype=kdt)
-    for sh, s, d in digits:
-        keys |= ((idx // s) % d).astype(kdt) << sh
-    return dict(zip(keys.tolist(), vals[nz].tolist()))
+    vmax = [0] * u.nvars
+    for i, sh, s, d in digits:
+        digit = (idx // s) % d
+        if len(digit):
+            vmax[i] = int(digit.max())
+        keys |= digit.astype(kdt) << sh
+    out = Polynomial(u, dict(zip(keys.tolist(), vals[nz].tolist())))
+    out._vmax = tuple(vmax)
+    return out
 
 
 # univariate helpers ------------------------------------------------------

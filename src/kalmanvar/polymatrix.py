@@ -5,7 +5,9 @@ Every exact elimination runs through one fraction-free core, `bareiss`
 entries, and the scalar determinant, rank and inverse.  Multivariate
 polynomial determinants use a memoized cofactor expansion over column
 subsets instead, because Bareiss' minor cross-products balloon there long
-before the division.  The test suite cross-checks the two.
+before the division.  Each minor of the expansion is one product-kernel
+call over its signed cofactor terms (`polycore.sum_of_products`).  The test
+suite cross-checks the two.
 
 Scalar (rational) matrices are handled by the `qmat_*` helpers working on
 plain lists of lists of int/Fraction.
@@ -25,6 +27,7 @@ from .polycore import (
     UniverseMismatch,
     _demote,
     parse_polynomial,
+    sum_of_products,
 )
 
 
@@ -131,18 +134,8 @@ class PolyMatrix:
             if self.u != other.u:
                 raise UniverseMismatch("matrix product universe mismatch")
             bt = other.transpose().rows
-            out = []
-            for ra in self.rows:
-                row = []
-                for cb in bt:
-                    acc = None
-                    for a, b in zip(ra, cb):
-                        if a.terms and b.terms:
-                            p = a * b
-                            acc = p if acc is None else acc + p
-                    row.append(acc if acc is not None else Polynomial.zero(self.u))
-                out.append(row)
-            return PolyMatrix(self.u, out)
+            return PolyMatrix(self.u, [[sum_of_products(self.u, [(1, *ab) for ab in zip(ra, cb)])
+                                        for cb in bt] for ra in self.rows])
         if isinstance(other, (int, Fraction, Polynomial)):
             return self.scale(other)
         return NotImplemented
@@ -182,7 +175,8 @@ class PolyMatrix:
 
     def _det_cofactor_dp(self) -> Polynomial:
         """Memoized cofactor expansion: process rows sparsest-first and keep
-        minors indexed by column subsets.  Division-free."""
+        minors indexed by column subsets.  Division-free; each minor of the
+        next level is one `sum_of_products` over its signed cofactor terms."""
         n = self.nrows
         u = self.u
         order = sorted(range(n), key=lambda i: sum(len(e.terms) for e in self.rows[i]))
@@ -194,33 +188,27 @@ class PolyMatrix:
                 j = seen[i]
                 seen[i], seen[j] = seen[j], seen[i]
                 perm_sign = -perm_sign
-        level: dict[int, Polynomial] = {0: Polynomial.const(u, 1)}
+        level: dict[int, Polynomial] = {0: Polynomial.const(u, perm_sign)}
         for r_pos in range(n):
             row = self.rows[order[r_pos]]
-            nxt: dict[int, Polynomial] = {}
+            cofactors: dict[int, list] = {}
             for mask, minor in level.items():
-                if not minor.terms:
-                    continue
                 for j in range(n):
                     bit = 1 << j
-                    if mask & bit:
-                        continue
-                    e = row[j]
-                    if not e.terms:
+                    if mask & bit or not row[j].terms:
                         continue
                     # sign: (-1)^(r_pos + rank of j within mask|bit)
                     pos = bin(mask & (bit - 1)).count("1")
-                    contrib = minor * e
-                    if (r_pos + pos) % 2:
-                        contrib = -contrib
-                    newmask = mask | bit
-                    cur = nxt.get(newmask)
-                    nxt[newmask] = contrib if cur is None else cur + contrib
-            level = nxt
+                    sign = -1 if (r_pos + pos) % 2 else 1
+                    cofactors.setdefault(mask | bit, []).append((sign, minor, row[j]))
+            level = {}
+            for mask, triples in cofactors.items():
+                minor = sum_of_products(u, triples)
+                if minor.terms:
+                    level[mask] = minor
             if not level:
                 return Polynomial.zero(u)
-        d = level.get((1 << n) - 1, Polynomial.zero(u))
-        return d if perm_sign > 0 else -d
+        return level.get((1 << n) - 1, Polynomial.zero(u))
 
     def char_poly(self) -> list[Polynomial]:
         """Coefficients [c_0, ..., c_N] (ascending, monic) of det(lambda*I - M);

@@ -32,6 +32,7 @@ from kalmanvar.kalman import (
 )
 from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
 from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_rank
+from kalmanvar.salmon import kalman_conic_equation
 from kalmanvar.veronese import basis_size, sym_power_scalar
 from kalmanvar.witness import (
     matrix_with_eigenvectors,
@@ -220,11 +221,13 @@ def test_kalman_det_uncertified_products_match_dict_loop(monkeypatch, form):
     uncertified = []
     kernel = polycore._np_mul
 
-    def counted(p, q):
-        l1p, lip, _ = p._norm_info()
-        l1q, liq, _ = q._norm_info()
-        out = kernel(p, q)
-        uncertified.append(min(l1p * liq, lip * l1q) >= 2**62 and out is not None)
+    def counted(triples):
+        bound = 0
+        for _, p, q in triples:
+            (l1p, lip, _), (l1q, liq, _) = p._norm_info(), q._norm_info()
+            bound += min(l1p * liq, lip * l1q)
+        out = kernel(triples)
+        uncertified.append(bound >= 2**62 and out is not None)
         return out
 
     monkeypatch.setattr(polycore, "_np_mul", counted)
@@ -234,6 +237,30 @@ def test_kalman_det_uncertified_products_match_dict_loop(monkeypatch, form):
     monkeypatch.setattr(kalman, "_DET_CACHE", OrderedDict())
     monkeypatch.setattr(polycore, "_np", None)
     assert kalman_det(f) == with_numpy
+
+
+def test_portable_path_matches_numpy_on_a_dehomogenized_conic(monkeypatch):
+    # K_2 of x2^2 - x1*x3 with diag(A) = (1, -1, 1) and a12 = 2: five variables
+    # left, so the cofactor DP runs, and the division by g2 recurses
+    f = parse_polynomial("x2^2 - x1*x3", x_universe(3))
+    u = a_universe(3)
+    fixed = {"a11": 1, "a22": -1, "a33": 1, "a12": 2}
+    A = PolyMatrix.generic(3).map(lambda e: e.specialize(fixed))
+    K = kalman_matrix(KalmanInstance.from_form(f), A)
+    g2 = kalman_conic_equation(f).convert(u).specialize(fixed)
+    kernel_sums = []
+    kernel = polycore._np_mul
+    monkeypatch.setattr(polycore, "_np_mul", lambda triples: kernel_sums.append(len(triples))
+                        or kernel(triples))
+    det = K.det()
+    quotient = det.exact_div(g2)
+    assert max(kernel_sums) > 1  # the DP summed several products in one kernel call
+    monkeypatch.setattr(polycore, "_np", None)
+    portable = K.det()
+    assert portable.terms == det.terms
+    assert all(type(c) is int for c in portable.terms.values())
+    assert portable.exact_div(g2).terms == quotient.terms
+    assert g2 * quotient == det
 
 
 class _Reached(Exception):

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import U2, U3, nonzero_fractions, polynomials, vectors
+from conftest import U2, U3, nonzero_fractions, nonzero_ints, polynomials, vectors
 from kalmanvar import polycore
 from kalmanvar.polycore import (
     DivisionByZeroPolynomial,
@@ -85,6 +86,31 @@ def test_print_parse_roundtrip_examples():
     for text in ["x1^3 - 3*x1*x2*x3 + x3^3", "2/7*x2^2 - x1*x3 + 5"]:
         p = P(text)
         assert parse_polynomial(p.to_text(), U3) == p
+
+
+def _reference_text(p: Polynomial) -> str:
+    """The text grammar, spelled out term by term."""
+    parts = []
+    for k in sorted(p.terms, reverse=True):
+        c = p.terms[k]
+        factors = [nm if e == 1 else f"{nm}^{e}" for nm, e in zip(p.u.names, p.u.unpack(k)) if e]
+        shown = [] if abs(c) == 1 and factors else [str(abs(c))]
+        sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + "*".join(shown + factors))
+    return "".join(parts) or "0"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_to_text_matches_reference_formatter(seed):
+    rng = random.Random(seed)
+    u = a_universe(3)
+    coeffs = [1, -1, 3, -17, 10**20, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 9)]
+    terms = {tuple(rng.choice([0, 0, 0, 1, 2, 11, 127]) for _ in range(u.nvars)): rng.choice(coeffs)
+             for _ in range(rng.randint(1, 60))}
+    terms[(0,) * u.nvars] = rng.choice(coeffs)  # a constant term
+    for p in (Polynomial.from_exponents(u, terms), Polynomial.const(u, terms[(0,) * u.nvars])):
+        assert p.to_text() == _reference_text(p)
+    assert Polynomial.zero(u).to_text() == "0"
 
 
 @pytest.mark.parametrize("bad", ["x1 +", "x4", "x1^^2", "x1**2", "(", "x1 x2", ""])
@@ -216,6 +242,63 @@ def test_mul_then_div_roundtrip(p, q):
     assert prod.exact_div(p) == q
 
 
+def _varying(g: Polynomial) -> int:
+    """How many variables g's terms differ in."""
+    exps = [g.u.unpack(k) for k in g.terms]
+    return sum(len({e[i] for e in exps}) > 1 for i in range(g.u.nvars))
+
+
+def _dividends(u: Universe, coeffs):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * u.nvars)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=6).map(
+        lambda m: Polynomial.from_exponents(u, m))
+
+
+DIV_COEFFS = {"int": nonzero_ints, "fraction": nonzero_fractions}
+U4 = x_universe(4)
+
+
+@pytest.mark.parametrize("kind", sorted(DIV_COEFFS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_recursive_division_recovers_the_cofactor(kind, data):
+    polys = _dividends(U4, DIV_COEFFS[kind])
+    g = data.draw(polys.filter(lambda g: _varying(g) >= 2))
+    h = data.draw(polys)
+    q = (g * h).exact_div(g)
+    assert q.terms == h.terms
+    assert all(type(c) is type(h.terms[k]) for k, c in q.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_non_divisible_raises_not_divisible(data):
+    polys = _dividends(U3, st.one_of(*DIV_COEFFS.values()))
+    g = data.draw(polys.filter(lambda g: _varying(g) >= 2))
+    h = data.draw(polys)
+    # a monomial, low or near the top of the 8-bit fields: g divides no monomial
+    e = data.draw(st.tuples(*[st.one_of(st.integers(0, 4), st.integers(200, 255))] * 3))
+    m = Polynomial.from_exponents(U3, {e: data.draw(nonzero_ints)})
+    with pytest.raises(NotDivisible):
+        (g * h + m).exact_div(g)
+
+
+def test_division_routes_by_the_divisor_variables(monkeypatch):
+    divisors = []
+    heap = polycore._heap_divide
+    monkeypatch.setattr(polycore, "_heap_divide",
+                        lambda p, q, box: divisors.append(q) or heap(p, q, box))
+    h = P("x1*x2 + x3^2 - 1/2")
+    g = P("x1^3 - 2*x1 + 5")  # univariate: the heap loop takes the whole division
+    assert (g * h).exact_div(g) == h
+    assert divisors == [g]
+    divisors.clear()
+    g = P("x1^2*x2 - x2*x3 + 3*x3^2 + x1")  # three variables: recursion first
+    assert (g * h).exact_div(g) == h
+    assert divisors and g not in divisors
+    assert all(_varying(q) <= 1 for q in divisors)
+
+
 # -- ring axioms (property) ------------------------------------------------------
 
 
@@ -276,36 +359,81 @@ def _dict_loop_product(p: Polynomial, q: Polynomial) -> Polynomial:
         return p * q
 
 
+def _dict_loop_sum(triples) -> Polynomial:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_np", None)
+        return polycore.sum_of_products(triples[0][1].u, triples)
+
+
+def _norms(triples) -> tuple[int, int]:
+    """The certificate sum of min(l1_p*linf_q, linf_p*l1_q) over triples,
+    and the largest linf_p*linf_q."""
+    cert = largest = 0
+    for _, p, q in triples:
+        (l1p, lip, _), (l1q, liq, _) = p._norm_info(), q._norm_info()
+        cert += min(l1p * liq, lip * l1q)
+        largest = max(largest, lip * liq)
+    return cert, largest
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_COEFFS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_np_mul_matches_dict_loop(kind, data):
     ints = _int_polynomials(U3, *KERNEL_COEFFS[kind])
-    s, t = data.draw(ints), data.draw(ints)
+    signs = st.sampled_from([1, -1])
+    triples = [(data.draw(signs), data.draw(ints), data.draw(ints))
+               for _ in range(data.draw(st.integers(min_value=1, max_value=6)))]
     cancel = data.draw(st.booleans())
-    # (s + t)(s - t): the cross terms cancel to zero
-    p, q = (s + t, s - t) if cancel else (s, t)
-    assume(p and q)
-    if kind != "int64" and not cancel:
-        l1p, lip, _ = p._norm_info()
-        l1q, liq, _ = q._norm_info()
-        assert min(l1p * liq, lip * l1q) >= 2**62
-    chunk = data.draw(st.integers(min_value=1, max_value=len(p.terms) * len(q.terms)))
+    if cancel:
+        # -sign*p*(q + r) cancels every term of sign*p*q that p*r does not hold
+        sign, p, q = triples[0]
+        triples.append((-sign, p, q + data.draw(ints)))
+    triples = [t for t in triples if t[2]]
+    if not cancel:
+        cert, largest = _norms(triples)
+        assert (cert < 2**62) == (kind == "int64")
+        assert (largest < 2**62) == (kind != "object")
+    pairs = sum(len(p.terms) * len(q.terms) for _, p, q in triples)
+    chunk = data.draw(st.integers(min_value=1, max_value=pairs))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polycore, "_CHUNK_I64", chunk)
         mp.setattr(polycore, "_CHUNK_OBJ", chunk)
-        out = polycore._np_mul(p, q)
+        out = polycore._np_mul(triples)
     assert out is not None
-    assert out == _dict_loop_product(p, q).terms
-    assert all(type(c) is int for c in out.values())
+    assert out.terms == _dict_loop_sum(triples).terms
+    assert all(type(c) is int for c in out.terms.values())
+    assert out.var_maxes() == Polynomial(U3, out.terms).var_maxes()
 
 
 @pytest.mark.parametrize("u", [x_universe(9), a_universe(4)], ids=["72-bit", "128-bit"])
 def test_np_mul_keys_wider_than_64_bits(u):
     base = parse_polynomial(" + ".join(u.names[::2]) + " + 1", u) ** 3
     p, q = base * 3 - 1, base + parse_polynomial(u.names[-1], u)
-    out = polycore._np_mul(p, q)
-    assert out is not None and out == _dict_loop_product(p, q).terms
+    out = polycore._np_mul([(1, p, q)])
+    assert out is not None and out.terms == _dict_loop_product(p, q).terms
+    assert out.var_maxes() == Polynomial(u, out.terms).var_maxes()
+    out = polycore._np_mul([(1, p, q), (-1, q, base)])
+    assert out is not None and out == _dict_loop_product(p, q) - _dict_loop_product(q, base)
+
+
+def _kernel_peak(triples) -> int:
+    tracemalloc.start()
+    try:
+        out = polycore._np_mul(triples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is not None
+    return peak
+
+
+def test_np_mul_sum_takes_no_larger_chunks_than_one_product():
+    # 84 x 286 pairs per product, 969 output terms: the chunk arrays dominate
+    p, q = P("x1 + x2 + x3 + 1") ** 6, P("x1 + x2 + x3 + 1") ** 10
+    one = _kernel_peak([(1, p, q)])
+    five = _kernel_peak([(1, p.scale(k), q) for k in range(1, 6)])
+    assert five <= 1.25 * one
 
 
 class _NoNumpy:
@@ -333,7 +461,9 @@ def test_np_mul_declines_before_any_array(kind):
     p, q = _declined_operands(kind)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polycore, "_np", _NoNumpy())
-        assert polycore._np_mul(p, q) is None
+        assert polycore._np_mul([(1, p, q)]) is None
+        # one declining triple declines the whole sum
+        assert polycore._np_mul([(1, q, q), (-1, p, q)]) is None
     assert p * q == _dict_loop_product(p, q)
 
 

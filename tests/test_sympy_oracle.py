@@ -1,6 +1,7 @@
 """Differential tests against sympy, an oracle that shares no code with the
 fraction-free elimination core: scalar determinant, rank and inverse,
-resultants and discriminants, and both branches of PolyMatrix.det."""
+resultants and discriminants, both branches of PolyMatrix.det, and exact
+multivariate division."""
 
 from __future__ import annotations
 
@@ -154,3 +155,25 @@ def test_polymatrix_det_branches_match_sympy(monkeypatch, names, branch):
             assert bool(calls) == (branch == "bareiss")
             expected = sympy.Matrix([[_sym_poly(e) for e in r] for r in rows]).det().expand()
             assert sympy.expand(_sym_poly(d) - expected) == 0
+
+
+def _rand_poly(rng: random.Random, nterms: int) -> Polynomial:
+    return Polynomial.from_exponents(
+        U3, {tuple(rng.randint(0, 3) for _ in range(3)): _rand_scalar(rng) for _ in range(nterms)})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exact_div_matches_sympy_div(seed):
+    rng = random.Random(seed)
+    gens = sympy.symbols("x1 x2 x3")
+    done = 0
+    while done < 4:
+        g, h = _rand_poly(rng, rng.randint(2, 6)), _rand_poly(rng, rng.randint(1, 6))
+        # divisors whose terms differ in two or more variables take the recursion
+        if sum(len(set(col)) > 1 for col in zip(*map(U3.unpack, g.terms))) < 2 or not h:
+            continue
+        p = g * h
+        quotient, remainder = sympy.div(_sym_poly(p), _sym_poly(g), *gens)
+        assert remainder == 0
+        assert sympy.expand(_sym_poly(p.exact_div(g)) - quotient) == 0
+        done += 1
