@@ -31,7 +31,6 @@ from .chow import (
     class_Wtilde,
     coeff_ctilde,
     fixture_E3,
-    fixture_Wtilde3,
 )
 from .enumerative import NonIntegralDegree, degrees_table_csv, discriminant_budget
 from .kalman import KalmanInstance, factorization_audit, kalman_det, kalman_matrix
@@ -232,7 +231,7 @@ def _cmd_chow(args: argparse.Namespace) -> str:
         cls = fixture_E3(args.n)
         name = "E_3"
     else:
-        cls = fixture_Wtilde3(args.n) if (args.n, s) == (3, 3) else class_Wtilde(args.n, s)
+        cls = class_Wtilde(args.n, s)
         name = f"W~_{s}"
     if args.format == "json":
         obj = cls.to_json_obj()

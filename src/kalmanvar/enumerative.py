@@ -10,6 +10,7 @@ asserted integral before being reported.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -79,31 +80,22 @@ def partitions(d: int, n: int) -> list[PartitionType]:
     return [PartitionType(t) for t in out]
 
 
-def _memo(fn):
-    cache: dict = {}
-
-    def wrapped(*args):
-        if args not in cache:
-            cache[args] = fn(*args)
-        return cache[args]
-
-    return wrapped
+@functools.cache
+def _exact_parts(d: int, i: int) -> int:
+    """Number of partitions of d into exactly i parts:
+    p(d, i) = p(d-1, i-1) + p(d-i, i)."""
+    if d == 0 and i == 0:
+        return 1
+    if d <= 0 or i <= 0:
+        return 0
+    return _exact_parts(d - 1, i - 1) + _exact_parts(d - i, i)
 
 
 def partition_count(d: int, n: int) -> int:
     """Number of partitions of d into at most n parts, via the
-    exactly-i-parts recursion p(d, i) = p(d-1, i-1) + p(d-i, i) summed
-    over i <= min(n, d) (independent of the enumerator)."""
-
-    @_memo
-    def p(dd: int, i: int) -> int:
-        if dd == 0 and i == 0:
-            return 1
-        if dd <= 0 or i <= 0:
-            return 0
-        return p(dd - 1, i - 1) + p(dd - i, i)
-
-    return sum(p(d, i) for i in range(1, min(n, d) + 1))
+    exactly-i-parts recursion summed over i <= min(n, d) (independent of
+    the enumerator)."""
+    return sum(_exact_parts(d, i) for i in range(1, min(n, d) + 1))
 
 
 # degree formulas ----------------------------------------------------------

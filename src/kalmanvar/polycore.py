@@ -70,6 +70,10 @@ class ExponentOverflow(ValueError):
     """An exponent does not fit the universe's per-variable bit field."""
 
 
+class ProblemTooLarge(ValueError):
+    """The input is beyond the size the system can finish."""
+
+
 def _demote(c: Scalar) -> Scalar:
     """Collapse integral Fractions to plain ints."""
     if type(c) is Fraction and c.denominator == 1:
@@ -122,11 +126,11 @@ class Universe:
 
     def unpack(self, key: int) -> tuple[int, ...]:
         m = self._mask
-        return tuple((key >> sh) & m for sh in self._shifts)
+        return tuple([(key >> sh) & m for sh in self._shifts])
 
     def key_degree(self, key: int) -> int:
         m = self._mask
-        return sum((key >> sh) & m for sh in self._shifts)
+        return sum([(key >> sh) & m for sh in self._shifts])
 
     def var_key(self, name: str, exp: int = 1) -> int:
         return self.pack(tuple(exp if i == self.index[name] else 0 for i in range(self.nvars)))
@@ -158,7 +162,11 @@ def x_universe(n: int) -> Universe:
 
 
 def a_universe(n: int) -> Universe:
-    """a11..ann, row-major.  7-bit fields keep 9-variable keys within 63 bits."""
+    """a11..ann, row-major.  7-bit fields keep 9-variable keys within 63 bits.
+    From n = 11 on the names collide (a1,11 and a11,1 are both a111)."""
+    if n > 10:
+        raise ProblemTooLarge(
+            f"the entry names a{{i}}{{j}} of a {n} x {n} matrix collide; the limit is n <= 10")
     names = tuple(f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     return _cached(names, 7 if n * n <= 9 else 8)
 
@@ -527,25 +535,30 @@ class Polynomial:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        u = self.u
-        m = u._mask
-        tables = [(_Factors(nm), sh) for nm, sh in zip(u.names, u._shifts)]
-        parts = []
-        for k, c in self.terms_sorted():
-            neg = c < 0
-            a = -c if neg else c
-            mono = "".join([tab[(k >> sh) & m] for tab, sh in tables])[:-1]
-            if not mono:
-                body = str(a)
-            elif a == 1:
-                body = mono
-            else:
-                body = f"{a}*{mono}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return format_terms(self.u, self.terms_sorted())
+
+
+def format_terms(u: Universe, pairs: Iterable[tuple[int, Scalar]]) -> str:
+    """The text of a nonzero polynomial over `u` from its (key, coeff)
+    terms, printed in the order given."""
+    m = u._mask
+    tables = [(_Factors(nm), sh) for nm, sh in zip(u.names, u._shifts)]
+    parts = []
+    for k, c in pairs:
+        neg = c < 0
+        a = -c if neg else c
+        mono = "".join([tab[(k >> sh) & m] for tab, sh in tables])[:-1]
+        if not mono:
+            body = str(a)
+        elif a == 1:
+            body = mono
+        else:
+            body = f"{a}*{mono}"
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts)
 
 
 class _Factors(dict):

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kalmanvar.polycore as polycore
 from kalmanvar.chow import (
+    MAX_CLASS_BITS,
+    MAX_CLASS_TERMS,
     SetPartition,
     TruncatedClass,
     TruncationError,
+    UnsupportedClass,
     class_W,
     class_WsP,
     class_Wtilde,
@@ -22,6 +28,7 @@ from kalmanvar.chow import (
     fixture_Wtilde3,
 )
 from kalmanvar.enumerative import ctilde, deg_mu_kalman, falling_factorial, partitions
+from kalmanvar.polycore import ProblemTooLarge
 
 
 def H(n, s, i):
@@ -99,6 +106,63 @@ def test_pow_matches_repeated_mul(a, k):
     assert a ** k == acc
 
 
+def reference_product(a: dict, b: dict, n: int) -> dict:
+    """Truncated product on exponent tuples, pair by pair."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if e[0] < n * n and all(x < n for x in e[1:]):
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def term_dicts(n: int, s: int, low: bool, max_size: int = 12):
+    # low exponents are at most half a cap, so no product of two reaches one
+    top0, top = (n * n - 1, n - 1) if not low else ((n * n - 1) // 2, (n - 1) // 2)
+    exps = st.tuples(st.integers(0, top0), *[st.integers(0, top)] * s)
+    return st.dictionaries(exps, st.integers(-9, 9), max_size=max_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 2)]), st.booleans())
+def test_product_matches_reference(data, ns, low):
+    n, s = ns
+    a = data.draw(term_dicts(n, s, low))
+    b = data.draw(term_dicts(n, s, low or data.draw(st.booleans())))
+    got = TruncatedClass(n, s, a) * TruncatedClass(n, s, b)
+    assert got == TruncatedClass(n, s, reference_product(a, b, n))
+
+
+def test_dense_product_matches_reference():
+    # enough term pairs for the numpy kernel, with truncation
+    n, s = 4, 2
+    a = {(e0, e1, e2): (e0 + 3 * e1 - 5 * e2) % 11 - 5
+         for e0 in range(16) for e1 in range(4) for e2 in range(4)}
+    b = {e: c * c - 7 for e, c in a.items()}
+    ca, cb = TruncatedClass(n, s, a), TruncatedClass(n, s, b)
+    assert ca.poly.term_count() * cb.poly.term_count() >= 4096
+    assert ca * cb == TruncatedClass(n, s, reference_product(a, b, n))
+
+
+def test_ring_edge_behaviour():
+    one = TruncatedClass.one(3, 2)
+    with pytest.raises(TruncationError):
+        TruncatedClass.h(3, 2, 1, -1)
+    assert TruncatedClass.h(3, 2, 1, 3).is_zero() and TruncatedClass.h(3, 2, 0, 9).is_zero()
+    with pytest.raises(ValueError):
+        TruncatedClass.h(3, 2, 3)
+    with pytest.raises(TypeError):
+        one + 1
+    with pytest.raises(ValueError):
+        one ** -1
+    # out-of-range tuples have coefficient 0, whatever the field width
+    for e in [(0, 0), (0, 0, 0, 0), (-1, 0, 0), (9, 0, 0), (0, 3, 0), (0, 0, 1 << 40)]:
+        assert one.coefficient(e) == 0
+    assert TruncatedClass.__hash__ is None
+    assert 2 * one == one.scale(2) == one + one
+
+
 def test_mixed_dimension_rejected():
     with pytest.raises(ValueError):
         H(2, 1, 0) + H(2, 2, 0)
@@ -160,8 +224,12 @@ def test_class_Wtilde_s1_is_class_W():
 
 
 def test_class_Wtilde_s3_unsupported_points_to_fixture():
-    with pytest.raises(ValueError):
-        class_Wtilde(3, 3)
+    # (n, s) = (3, 3) is the expanded fixture; no other s >= 3 has an expansion
+    assert class_Wtilde(3, 3) == fixture_Wtilde3()
+    with pytest.raises(UnsupportedClass, match="W~_3 is available for s <= 2"):
+        class_Wtilde(4, 3)
+    with pytest.raises(UnsupportedClass):
+        class_WsP(4, 3, SetPartition.of([[1], [2], [3]]))
 
 
 def test_class_WsP_singletons_is_Wtilde():
@@ -244,6 +312,89 @@ def test_coeff_ctilde_formula_only_cases():
     assert coeff_ctilde(4, 3) == math.comb(4, 2) * falling_factorial(3, 2)
     with pytest.raises(ValueError):
         coeff_ctilde(4, 0)
+
+
+# -- size limits -----------------------------------------------------------------------
+
+
+class _Reached(Exception):
+    pass
+
+
+def _builders(n, s):
+    P = SetPartition.of([[1], list(range(2, s + 1))] if s > 1 else [[1]])
+    out = [lambda: class_W(n, s), lambda: class_WsP(n, s, P)]
+    return out + [lambda: class_Wtilde(n, s)] if s <= 2 else out
+
+
+@pytest.mark.parametrize("n,s,accepted", [
+    (10, 6, True), (10, 7, False),  # n^s against MAX_CLASS_TERMS
+    (2, 19, True), (2, 20, False),
+    (368, 2, True), (369, 2, False),  # n^s * n*s against MAX_CLASS_BITS
+    (10 ** 4, 1, True), (10 ** 4 + 1, 1, False),
+])
+def test_class_size_limit_edge(monkeypatch, n, s, accepted):
+    # a size within both limits reaches a product; one past either is
+    # rejected before any
+    assert MAX_CLASS_TERMS == 10 ** 6 and MAX_CLASS_BITS == 10 ** 8
+    assert (n ** s <= MAX_CLASS_TERMS and n ** s * n * s <= MAX_CLASS_BITS) == accepted
+
+    def product(*args):
+        raise _Reached
+
+    monkeypatch.setattr(polycore, "sum_of_products", product)
+    for build in _builders(n, s):
+        if accepted:
+            with pytest.raises(_Reached):
+                build()
+        else:
+            with pytest.raises(ProblemTooLarge, match=f"MAX_CLASS_TERMS = {MAX_CLASS_TERMS} "
+                               f"and MAX_CLASS_BITS = {MAX_CLASS_BITS}"):
+                build()
+
+
+def test_closed_forms_answer_past_the_class_limit(monkeypatch):
+    def product(*args):
+        raise _Reached
+
+    monkeypatch.setattr(polycore, "sum_of_products", product)
+    assert coeff_ctilde(369, 2) == ctilde(369, 2)
+    assert coeff_ctilde(20, 10) == ctilde(20, 10)
+    mu = partitions(2, 400)[-1]
+    assert deg_mu_from_chow(400, 2, mu.parts) == deg_mu_kalman(400, 2, mu)
+
+
+# -- golden outputs ----------------------------------------------------------------------
+
+
+def golden_classes():
+    for n in range(2, 6):
+        for s in range(1, 5):
+            yield class_W(n, s)
+            if s <= 2:
+                yield class_Wtilde(n, s)
+            for p in SetPartition.all_partitions(s):
+                if p.k <= 2 or (n, p.k) == (3, 3):
+                    yield class_WsP(n, s, p)
+    yield fixture_E3()
+    yield fixture_Wtilde3()
+    yield (class_W(3, 2) + TruncatedClass.h(3, 2, 0, 2, -5)) ** 3
+
+
+def test_golden_class_digest():
+    # text and JSON of 94 classes, then closed-form values through the class
+    # checks; the digest was taken from the exponent-tuple implementation
+    h = hashlib.sha256()
+    for cls in golden_classes():
+        h.update(cls.to_text().encode() + b"\n")
+        h.update(json.dumps(cls.to_json_obj()).encode() + b"\n")
+    for n in range(2, 8):
+        for s in range(1, 5):
+            h.update(f"{coeff_ctilde(n, s)}\n".encode())
+    for n, d in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        for mu in partitions(d, n):
+            h.update(f"{deg_mu_from_chow(n, d, mu.parts)}\n".encode())
+    assert h.hexdigest() == "c79b086c3dd1aa39ad3ed6e94675bf53acfe178e19c889311753640ea6278373"
 
 
 # -- degrees through the class pairing ----------------------------------------------------

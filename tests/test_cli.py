@@ -144,6 +144,22 @@ def test_kalman_det_beyond_size_limit_is_input_error(capsys, form, N):
     assert f"size N = {N}; the limit is MAX_DET_N = 7" in err
 
 
+@pytest.mark.parametrize("argv,limit", [
+    (["chow", "--n", "20", "--s", "10", "--w"], "the limits are MAX_CLASS_TERMS = 1000000"),
+    (["chow", "--n", "1000", "--s", "2", "--partition", "1|2"],
+     "and MAX_CLASS_BITS = 100000000"),
+    (["sympower", "--n", "12", "--d", "3"], "the limit is n <= 10"),
+    (["kalman-matrix", "--f", "x11 + x1"], "the limit is n <= 10"),
+])
+def test_size_limits_are_input_errors(capsys, argv, limit):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_PARSE
+    assert not out
+    assert limit in err
+
+
 def test_kalman_det_json(capsys):
     rc, out, _ = run(capsys, ["kalman-det", "--f", "x1^2-x2^2", "--format", "json"])
     assert rc == EXIT_OK

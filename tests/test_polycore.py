@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import U2, U3, nonzero_fractions, nonzero_ints, polynomials, vectors
-from kalmanvar import polycore
+import kalmanvar
+from kalmanvar import kalman, polycore
 from kalmanvar.polycore import (
     DivisionByZeroPolynomial,
     ExponentOverflow,
     NotDivisible,
     Polynomial,
     PolynomialParseError,
+    ProblemTooLarge,
     Universe,
     UniverseMismatch,
     ZeroPolynomial,
@@ -54,6 +56,14 @@ def test_a_universe_names():
     assert u.names[:3] == ("a11", "a12", "a13")
     assert u.names[-1] == "a33"
     assert u.nvars == 9
+
+
+def test_a_universe_name_limit():
+    # from n = 11 on a1,11 and a11,1 would both be named a111
+    assert len(set(a_universe(10).names)) == 100
+    with pytest.raises(ProblemTooLarge, match="the limit is n <= 10"):
+        a_universe(11)
+    assert kalman.ProblemTooLarge is kalmanvar.ProblemTooLarge is ProblemTooLarge
 
 
 def test_t_universe_single_variable():
