@@ -432,6 +432,8 @@ def coeff_ctilde(n: int, s: int) -> int:
     """
     if s < 1:
         raise ValueError("s must be at least 1")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     formula = ctilde(n, s)
     try:
         wt = class_Wtilde(n, s)

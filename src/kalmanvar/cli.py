@@ -11,16 +11,17 @@ Subcommands
   chow           truncated intersection classes and their coefficients
   witness        exact eigenstructure witnesses and hypersurface points
 
-Shared flags: --n --d --f --seed --trials --format {text|json|csv}.
 Exit codes: 0 success, 1 a requested check failed, 2 parse/validation
-error or an input beyond a size limit, 3 internal invariant breach.  Output is deterministic for a fixed
-seed; every printed polynomial re-parses to the identical canonical value.
+error or an input beyond a size limit, 3 internal invariant breach, 141
+stdout closed by its reader.  Output is deterministic for a fixed seed;
+every printed polynomial re-parses to the identical canonical value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
+EXIT_SIGPIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 class CheckFailed(RuntimeError):
@@ -99,8 +101,6 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_sympower(args: argparse.Namespace) -> str:
-    if args.n is None or args.d is None:
-        raise ValueError("sympower requires --n and --d")
     M = sym_power(PolyMatrix.generic(args.n), args.d)
     if args.format == "json":
         return _json({
@@ -144,10 +144,9 @@ def _cmd_kalman_det(args: argparse.Namespace) -> str:
 
 
 def _cmd_salmon(args: argparse.Namespace) -> str:
-    conic_text = args.conic or args.f
     f = None
-    if conic_text:
-        f = parse_polynomial(conic_text, x_universe(3))
+    if args.conic:
+        f = parse_polynomial(args.conic, x_universe(3))
     g1 = g1_factor(f)
     g2 = kalman_conic_equation(f)
     a_names = tuple(nm for nm in g2.u.names if nm.startswith("a"))
@@ -183,6 +182,8 @@ def _cmd_audit(args: argparse.Namespace) -> str:
 
 
 def _cmd_degrees(args: argparse.Namespace) -> str:
+    if args.format == "csv" and not args.table:
+        raise ValueError("csv output is only available for `degrees --table`")
     if args.table:
         if args.format == "json":
             raise ValueError("the degree table is emitted as csv or text")
@@ -211,11 +212,7 @@ def _parse_partition(text: str) -> SetPartition:
 
 
 def _cmd_chow(args: argparse.Namespace) -> str:
-    if args.n is None:
-        raise ValueError("chow requires --n")
     s = args.s
-    if s is None:
-        raise ValueError("chow requires --s (number of eigenvector factors)")
     if args.ctilde:
         value = coeff_ctilde(args.n, s)
         if args.format == "json":
@@ -267,19 +264,39 @@ def _cmd_witness(args: argparse.Namespace) -> str:
     return _report(args, obj)
 
 
-_DISPATCH = {
-    "sympower": _cmd_sympower,
-    "kalman-matrix": _cmd_kalman_matrix,
-    "kalman-det": _cmd_kalman_det,
-    "salmon": _cmd_salmon,
-    "audit": _cmd_audit,
-    "degrees": _cmd_degrees,
-    "chow": _cmd_chow,
-    "witness": _cmd_witness,
+def _positive(text: str) -> int:
+    """argparse type of a count; the parser's message names the flag."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return value
+
+
+_FLAGS = {
+    "n": dict(type=_positive, help="number of variables"),
+    "d": dict(type=_positive, help="form degree"),
+    "f": dict(help="form in the text grammar, e.g. 'x2^2-x1*x3'"),
+    "s": dict(type=_positive, help="eigenvector factor count"),
+    "seed": dict(type=int, default=0, help="RNG seed"),
+    "trials": dict(type=_positive, default=20, help="trial count"),
+    "conic": dict(help="ternary conic (defaults to the generic one)"),
+    "table": dict(action="store_true", help="emit the full golden degree table as csv"),
+    "mu": dict(help="eigenvalue partition, e.g. '1,1'"),
+    "kind": dict(choices=("rank_deficient", "repeated_eigenvalue_jordan"),
+                 help="special-locus matrix kind"),
+    "w": dict(action="store_true", help="full incidence class"),
+    "e3": dict(action="store_true", help="two-dimensional-eigenspace fixture class"),
+    "ctilde": dict(action="store_true", help="print the shared coefficient value only"),
+    "partition": dict(help="set partition, e.g. '1,2|3'"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one input contract: each subcommand declares exactly the flags
+    its handler reads, with their types, defaults and formats."""
     parser = argparse.ArgumentParser(
         prog="kalmanvar",
         description="Exact computer algebra for eigenpoint varieties of "
@@ -287,62 +304,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser, *, form: bool = True) -> None:
-        p.add_argument("--n", type=int, default=None, help="number of variables")
-        p.add_argument("--d", type=int, default=None, help="form degree")
-        if form:
-            p.add_argument("--f", type=str, default=None,
-                           help="form in the text grammar, e.g. 'x2^2-x1*x3'")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--trials", type=int, default=20, help="trial count")
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text", help="output format")
+    def command(name, run, summary, flags, required=(), formats=("text", "json")):
+        # no abbreviations: `salmon --f json` must not become `--format json`
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(run=run)
+        for flag in flags:
+            p.add_argument(f"--{flag}", required=flag in required, **_FLAGS[flag])
+        p.add_argument("--format", choices=formats, default="text", help="output format")
+        return p
 
-    common(sub.add_parser("sympower", help="symbolic symmetric power"), form=False)
-    common(sub.add_parser("kalman-matrix", help="stacked block matrix"))
-    common(sub.add_parser("kalman-det", help="its determinant (p = 1)"))
-
-    p = sub.add_parser("salmon", help="ternary-conic resultant pipeline")
-    common(p)
-    p.add_argument("--conic", type=str, default=None,
-                   help="ternary conic (defaults to the generic one)")
-
-    common(sub.add_parser("audit", help="factorization audit"))
-
-    p = sub.add_parser("degrees", help="enumerative degree formulas")
-    common(p, form=False)
-    p.add_argument("--table", action="store_true",
-                   help="emit the full golden degree table as csv")
-
-    p = sub.add_parser("chow", help="truncated intersection classes")
-    common(p, form=False)
-    p.add_argument("--s", type=int, default=None, help="eigenvector factor count")
-    p.add_argument("--w", action="store_true", help="full incidence class")
-    p.add_argument("--e3", action="store_true",
-                   help="two-dimensional-eigenspace fixture class")
-    p.add_argument("--ctilde", action="store_true",
-                   help="print the shared coefficient value only")
-    p.add_argument("--partition", type=str, default=None,
-                   help="set partition, e.g. '1,2|3'")
-
-    p = sub.add_parser("witness", help="exact witnesses and points")
-    common(p)
-    p.add_argument("--mu", type=str, default=None,
-                   help="eigenvalue partition, e.g. '1,1'")
-    p.add_argument("--kind", type=str, default=None,
-                   choices=("rank_deficient", "repeated_eigenvalue_jordan"),
-                   help="special-locus matrix kind")
+    command("sympower", _cmd_sympower, "symbolic symmetric power", ["n", "d"],
+            required=("n", "d"))
+    command("kalman-matrix", _cmd_kalman_matrix, "stacked block matrix", ["n", "d", "f"],
+            required=("f",))
+    command("kalman-det", _cmd_kalman_det, "its determinant (p = 1)", ["n", "d", "f"],
+            required=("f",))
+    command("salmon", _cmd_salmon, "ternary-conic resultant pipeline", ["conic"])
+    command("audit", _cmd_audit, "factorization audit", ["n", "d", "f", "seed", "trials"],
+            required=("f",))
+    command("degrees", _cmd_degrees, "enumerative degree formulas", ["n", "d", "table"],
+            formats=("text", "json", "csv"))
+    modes = command("chow", _cmd_chow, "truncated intersection classes", ["n", "s"],
+                    required=("n", "s")).add_mutually_exclusive_group()
+    for flag in ("w", "e3", "ctilde", "partition"):
+        modes.add_argument(f"--{flag}", **_FLAGS[flag])
+    command("witness", _cmd_witness, "exact witnesses and points",
+            ["n", "f", "seed", "mu", "kind"])
     return parser
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Checks shared by every subcommand, made before any work starts."""
-    for flag in ("n", "d", "trials", "s"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{flag} must be positive")
-    if args.format == "csv" and not getattr(args, "table", False):
-        raise ValueError("csv output is only available for `degrees --table`")
 
 
 def main(argv=None) -> int:
@@ -352,11 +340,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
     try:
-        _check_args(args)
-        out = _DISPATCH[args.cmd](args)
+        out = args.run(args)
         if out:
             print(out)
+            sys.stdout.flush()
         return EXIT_OK
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull so
+        # that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_SIGPIPE
     except CheckFailed as e:
         print(str(e), file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.resources
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,6 +19,7 @@ from kalmanvar.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SIGPIPE,
     build_parser,
     main,
 )
@@ -47,15 +52,15 @@ def validate_audit_report(obj):
 
 
 def test_run_config_validation(capsys):
-    for flags, message in [
-        (["--n", "0", "--d", "1"], "--n must be positive"),
-        (["--n", "2", "--d", "0"], "--d must be positive"),
-        (["--n", "2", "--d", "2", "--trials", "0"], "--trials must be positive"),
+    for argv, flag in [
+        (["degrees", "--n", "0", "--d", "1"], "--n"),
+        (["degrees", "--n", "2", "--d", "0"], "--d"),
+        (["audit", "--f", "x1^2-x2^2", "--trials", "0"], "--trials"),
     ]:
-        rc, out, err = run(capsys, ["degrees"] + flags)
+        rc, out, err = run(capsys, argv)
         assert rc == EXIT_PARSE
         assert not out
-        assert err == f"error: {message}\n"
+        assert f"argument {flag}: expects a positive integer, got '0'" in err
     rc, out, _ = run(capsys, ["degrees", "--n", "2", "--d", "2", "--format", "yaml"])
     assert rc == EXIT_PARSE
     assert not out
@@ -65,7 +70,104 @@ def test_chow_rejects_nonpositive_s(capsys):
     rc, out, err = run(capsys, ["chow", "--n", "3", "--s", "0"])
     assert rc == EXIT_PARSE
     assert not out
-    assert err == "error: --s must be positive\n"
+    assert "argument --s: expects a positive integer, got '0'" in err
+
+
+# the flags each subcommand reads; every other flag is rejected at parse time
+DECLARED = {
+    "sympower": {"--n", "--d", "--format"},
+    "kalman-matrix": {"--f", "--n", "--d", "--format"},
+    "kalman-det": {"--f", "--n", "--d", "--format"},
+    "salmon": {"--conic", "--format"},
+    "audit": {"--f", "--n", "--d", "--seed", "--trials", "--format"},
+    "degrees": {"--n", "--d", "--table", "--format"},
+    "chow": {"--n", "--s", "--w", "--e3", "--ctilde", "--partition", "--format"},
+    "witness": {"--n", "--f", "--seed", "--mu", "--kind", "--format"},
+}
+
+# a minimal accepted invocation of each subcommand
+VALID = {
+    "sympower": ["sympower", "--n", "2", "--d", "2"],
+    "kalman-matrix": ["kalman-matrix", "--f", "x1^2-x2^2"],
+    "kalman-det": ["kalman-det", "--f", "x1^2-x2^2"],
+    "salmon": ["salmon", "--conic", "x2^2-x1*x3"],
+    "audit": ["audit", "--f", "x1^2-x2^2"],
+    "degrees": ["degrees", "--n", "3", "--d", "2"],
+    "chow": ["chow", "--n", "3", "--s", "3"],
+    "witness": ["witness", "--f", "x2^2-x1*x3"],
+}
+
+
+def test_each_subcommand_declares_exactly_the_flags_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                for name, p in subparsers.choices.items()}
+    assert declared == DECLARED
+    assert sum(map(len, declared.values())) == 36
+
+
+REMOVED = [
+    ("sympower", "--seed"), ("sympower", "--trials"),
+    ("kalman-matrix", "--seed"), ("kalman-matrix", "--trials"),
+    ("kalman-det", "--seed"), ("kalman-det", "--trials"),
+    ("salmon", "--n"), ("salmon", "--d"), ("salmon", "--seed"), ("salmon", "--trials"),
+    ("salmon", "--f"),
+    ("degrees", "--seed"), ("degrees", "--trials"),
+    ("chow", "--d"), ("chow", "--seed"), ("chow", "--trials"),
+    ("witness", "--d"), ("witness", "--trials"),
+]
+
+
+@pytest.mark.parametrize("cmd,flag", REMOVED, ids=lambda v: v)
+def test_unread_flag_is_rejected_at_parse_time(capsys, cmd, flag):
+    assert flag not in DECLARED[cmd]
+    value = "x2^2-x1*x3" if flag == "--f" else "3"
+    rc, out, err = run(capsys, VALID[cmd] + [flag, value])
+    assert rc == EXIT_PARSE
+    assert not out
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_flags_are_not_abbreviated(capsys):
+    # `--f` would otherwise abbreviate `--format`, and `--tab` `--table`
+    for argv in (["salmon", "--f", "json"], ["degrees", "--tab"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == EXIT_PARSE
+        assert not out
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("first,second", [
+    (["--w"], ["--ctilde"]),
+    (["--partition", "1|2"], ["--w"]),
+    (["--e3"], ["--partition", "1|2"]),
+    (["--ctilde"], ["--e3"]),
+])
+def test_chow_modes_are_exclusive(capsys, first, second):
+    rc, out, err = run(capsys, ["chow", "--n", "3", "--s", "2"] + first + second)
+    assert rc == EXIT_PARSE
+    assert not out
+    assert f"argument {second[0]}: not allowed with argument {first[0]}" in err
+
+
+@pytest.mark.parametrize("base,flag,value", [
+    (["sympower", "--d", "2"], "--n", "0"),
+    (["sympower", "--n", "2"], "--d", "-1"),
+    (["kalman-det", "--f", "x1^2-x2^2"], "--d", "0"),
+    (["kalman-matrix", "--f", "x1^2-x2^2"], "--n", "-2"),
+    (["audit", "--f", "x1^2-x2^2"], "--n", "0"),
+    (["audit", "--f", "x1^2-x2^2"], "--trials", "-5"),
+    (["degrees", "--n", "2"], "--d", "-3"),
+    (["chow", "--s", "2"], "--n", "0"),
+    (["chow", "--n", "3", "--ctilde"], "--s", "-1"),
+    (["witness", "--kind", "rank_deficient"], "--n", "0"),
+])
+def test_nonpositive_counts_are_rejected_at_parse_time(capsys, base, flag, value):
+    rc, out, err = run(capsys, base + [flag, value])
+    assert rc == EXIT_PARSE
+    assert not out
+    assert f"argument {flag}: expects a positive integer, got '{value}'" in err
 
 
 def test_build_parser_smoke():
@@ -150,6 +252,8 @@ def test_kalman_det_beyond_size_limit_is_input_error(capsys, form, N):
      "and MAX_CLASS_BITS = 100000000"),
     (["sympower", "--n", "12", "--d", "3"], "the limit is n <= 10"),
     (["kalman-matrix", "--f", "x11 + x1"], "the limit is n <= 10"),
+    (["degrees", "--n", "80", "--d", "80"], "the limit is MAX_PARTITIONS = 100000"),
+    (["degrees", "--n", "2", "--d", "1000000000"], "the limit is MAX_PARTITIONS = 100000"),
 ])
 def test_size_limits_are_input_errors(capsys, argv, limit):
     start = time.perf_counter()
@@ -305,6 +409,22 @@ def test_chow_ctilde(capsys):
     assert out.strip() == "6"
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_chow_ctilde_rejects_n_below_two(capsys, s):
+    rc, out, err = run(capsys, ["chow", "--n", "1", "--s", str(s), "--ctilde"])
+    assert rc == EXIT_PARSE
+    assert not out
+    assert err == "error: n must be at least 2\n"
+
+
+def test_chow_ctilde_huge_s_is_fast(capsys):
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, ["chow", "--n", "3", "--s", "1000000000", "--ctilde"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_OK
+    assert out == "0\n"
+
+
 def test_chow_ctilde_json(capsys):
     rc, out, _ = run(capsys, ["chow", "--n", "3", "--s", "3", "--ctilde", "--format", "json"])
     assert rc == EXIT_OK
@@ -402,6 +522,19 @@ def test_parse_error_exit_code(capsys):
     assert err
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the reader leaves after one line of a 344 kB matrix
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "kalmanvar.cli", "sympower", "--n", "3",
+                             "--d", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_SIGPIPE == 141
+    assert err == b""
+
+
 def test_unknown_subcommand(capsys):
     rc, _, _ = run(capsys, ["transmogrify"])
     assert rc == EXIT_PARSE
@@ -426,7 +559,10 @@ def test_csv_rejected_outside_table(capsys, argv):
     rc, out, err = run(capsys, argv + ["--format", "csv"])
     assert rc == EXIT_PARSE
     assert not out
-    assert err == "error: csv output is only available for `degrees --table`\n"
+    if argv[0] == "degrees":
+        assert err == "error: csv output is only available for `degrees --table`\n"
+    else:  # only `degrees` declares csv
+        assert "argument --format: invalid choice: 'csv'" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kalmanvar.enumerative as enumerative
 from kalmanvar.enumerative import (
+    MAX_PARTITIONS,
     DegreeReport,
     ctilde,
     ctilde_stirling_form,
@@ -26,6 +30,7 @@ from kalmanvar.enumerative import (
     sing_degrees,
     stirling2,
 )
+from kalmanvar.polycore import ProblemTooLarge
 from kalmanvar.veronese import PartitionType
 
 # -- helpers ------------------------------------------------------------------
@@ -35,6 +40,22 @@ def test_falling_factorial():
     assert falling_factorial(5, 0) == 1
     assert falling_factorial(5, 3) == 60
     assert falling_factorial(3, 4) == 0  # runs past zero
+
+
+def test_falling_factorial_matches_the_plain_loop():
+    for a in range(-6, 9):
+        for b in range(0, 12):
+            expect = 1
+            for i in range(b):
+                expect *= a - i
+            assert falling_factorial(a, b) == expect, (a, b)
+
+
+def test_falling_factorial_stops_at_a_zero_factor():
+    start = time.perf_counter()
+    assert falling_factorial(2, 10**9) == 0
+    assert ctilde(3, 10**9) == 0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_stirling2_oracle():
@@ -72,6 +93,48 @@ def test_partitions_validation():
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=10))
 def test_partition_count_matches_enumeration(d, n):
     assert partition_count(d, n) == len(partitions(d, n))
+
+
+@pytest.mark.parametrize("d", [500, 5000])
+def test_partition_count_large_d(d):
+    # beyond the depth a recursion on d would reach
+    assert partition_count(d, 2) == d // 2 + 1
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,d,count", [
+    (2, 2 * MAX_PARTITIONS - 1, MAX_PARTITIONS),
+    (2, 2 * MAX_PARTITIONS, MAX_PARTITIONS + 1),
+    (3, 1092, 99919),  # round((d + 3)^2 / 12)
+    (3, 1093, 100101),
+    (45, 45, 89134),  # p(45) and p(46)
+    (10**9, 46, 105558),
+])
+def test_partition_limit_edge(monkeypatch, n, d, count):
+    # at most MAX_PARTITIONS partitions reach the enumeration; more are
+    # rejected first
+    def enumerate_(*args):
+        raise _Reached
+
+    monkeypatch.setattr(enumerative, "partitions", enumerate_)
+    if count <= MAX_PARTITIONS:
+        with pytest.raises(_Reached):
+            discriminant_budget(n, d)
+    else:
+        with pytest.raises(ProblemTooLarge, match="the limit is MAX_PARTITIONS = 100000"):
+            discriminant_budget(n, d)
+
+
+@pytest.mark.parametrize("n,d", [(2, 10**9), (10**9, 10**9), (3, 2 * MAX_PARTITIONS - 2),
+                                 (10**9, 2 * MAX_PARTITIONS - 2), (80, 80)])
+def test_partition_limit_answers_fast(n, d):
+    start = time.perf_counter()
+    with pytest.raises(ProblemTooLarge):
+        discriminant_budget(n, d)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- degree formulas ---------------------------------------------------------------
@@ -172,6 +235,18 @@ def test_detA_multiplicity_values():
     # n = 3 closed form 3*C(d+3,5)
     for d in range(1, 8):
         assert detA_multiplicity(3, d) == 3 * math.comb(d + 3, 5)
+
+
+
+def test_detA_multiplicity_matches_the_double_sum():
+    def double_sum(n, d):
+        b = [math.comb(d - t + n - 2, d - t) for t in range(d + 1)]
+        return sum(b[t] * (Fraction(t, 2) * (b[t] - 1) + sum(b[i] * i for i in range(1, t)))
+                   for t in range(1, d + 1))
+
+    for n in range(2, 7):
+        for d in range(1, 12):
+            assert detA_multiplicity(n, d) == double_sum(n, d), (n, d)
 
 
 # -- singular locus degrees ----------------------------------------------------------------
