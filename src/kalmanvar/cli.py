@@ -34,7 +34,8 @@ from .chow import (
     fixture_E3,
 )
 from .enumerative import NonIntegralDegree, degrees_table_csv, discriminant_budget
-from .kalman import KalmanInstance, factorization_audit, kalman_det, kalman_matrix
+from .kalman import (KalmanInstance, check_kalman_matrix_size, factorization_audit, kalman_det,
+                     kalman_matrix)
 from .polycore import (
     Polynomial,
     PolynomialParseError,
@@ -44,7 +45,7 @@ from .polycore import (
 )
 from .polymatrix import PolyMatrix
 from .salmon import g1_factor, kalman_conic_equation
-from .veronese import basis_size, sym_power
+from .veronese import basis_size, check_sym_power_size, sym_power
 from .witness import (
     mu_witness,
     sample_on_hypersurface,
@@ -101,6 +102,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_sympower(args: argparse.Namespace) -> str:
+    check_sym_power_size(args.n, args.d)
     M = sym_power(PolyMatrix.generic(args.n), args.d)
     if args.format == "json":
         return _json({
@@ -115,6 +117,7 @@ def _cmd_sympower(args: argparse.Namespace) -> str:
 def _cmd_kalman_matrix(args: argparse.Namespace) -> str:
     f = _parse_form(args)
     inst = KalmanInstance.from_form(f, args.n, args.d)
+    check_kalman_matrix_size(inst)
     K = kalman_matrix(inst, PolyMatrix.generic(inst.n))
     if args.format == "json":
         return _json({

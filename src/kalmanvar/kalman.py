@@ -37,6 +37,7 @@ from .polycore import (
     Scalar,
     ZeroPolynomial,
     _demote,
+    a_universe,
     root_multiplicity_at_zero,
     t_universe,
     univariate_discriminant,
@@ -161,6 +162,28 @@ def kalman_matrix(inst: KalmanInstance, A: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(A.u, rows)
 
 
+# The largest symbolic Kalman matrix of the generic n x n matrix, as a bound
+# on its terms: block i holds N entries of degree d*i in the n^2 entries of
+# A, so at most N * C(n^2+d*i-1, d*i) terms.  On a 2-core Xeon the binary
+# d = 11 (bound 1.2e7, the largest accepted) took 3.1 s; the plane cubic
+# (4.1e8) took 24 s and 1.06 GB, and the quaternary quadric (1.4e10) gave
+# no result in 40 s.
+MAX_KALMAN_TERMS = 2 * 10 ** 7
+
+
+def check_kalman_matrix_size(inst: KalmanInstance) -> None:
+    """Raise, before any work, when the Kalman matrix of `inst` at the
+    generic matrix may hold more than MAX_KALMAN_TERMS terms, or its names
+    or exponents (d*(N-p) in the last block) do not fit `a_universe(n)`."""
+    n, d, N = inst.n, inst.d, inst.N
+    a_universe(n).check_product_exponent(d * (N - inst.p))
+    bound = sum(N * math.comb(n * n + d * i - 1, d * i) for i in range(N - inst.p + 1))
+    if bound > MAX_KALMAN_TERMS:
+        raise ProblemTooLarge(
+            f"K_{d} of a form in {n} variables may hold {bound} terms; "
+            f"the limit is MAX_KALMAN_TERMS = {MAX_KALMAN_TERMS}")
+
+
 def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """kalman_matrix evaluated at a rational matrix, computed in integer
     arithmetic throughout (no symbolic detour).
@@ -188,7 +211,8 @@ def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> li
 
 
 # The largest N whose symbolic det K_d is computed: the binary sextic
-# (N = 7) took 46.7 s on a 2-core Xeon, and nothing larger has ever finished.
+# (N = 7) took 53-63 s on a 2-core Xeon, 50-60 s of it in two kernel calls
+# on exact Python ints, and nothing larger has ever finished.
 MAX_DET_N = 7
 
 # Least-recently-used determinants; one entry can hold ~700k terms (the

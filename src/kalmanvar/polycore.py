@@ -14,12 +14,17 @@ Coefficient arithmetic stays in plain ints on pure-integer inputs, which is
 the common case for every determinant in this package.  Products are sums
 of products: `sum_of_products` takes `(sign, p, q)` triples, `p * q` is one
 triple, and the cofactor determinant builds each minor from one call.
-Integer sums of 4096 or more term pairs go to one numpy kernel (`_np_mul`):
-keys rebased to an index over the sum's exponent box, one sort per chunk of
-pairs, and a segmented sum.  The l1*linf coefficient certificate only picks
-how values are held (int64, two int64 limbs, or exact Python ints in object
-arrays), so results are bit-identical to the portable path.  The dict loop
-that accumulates every pair of every triple is that portable path: it
+Integer sums of 4096 or more term pairs go to one numpy kernel (`_np_mul`).
+Its l1*linf coefficient certificate picks how values are held (int64, two
+int64 limbs, or exact Python ints in object arrays) before either of its two
+reductions runs.  The dense reduction serves int64 and limb sums of 2**16 or
+more pairs whose exponent box, compacted by the exact linear relations all
+their exponents keep (total degree, torus weights), has no more cells than
+the sum has pairs: pairs are scatter-added into an accumulator of at most
+`_DENSE_CELLS` cells, one stripe of the box at a time.  Every other kernel
+sum is sorted by its index in the exponent box, chunk by chunk, and summed
+in segments.  Both give the dict loop's terms, in the same order.  The dict
+loop that accumulates every pair of every triple is the portable path: it
 serves rational coefficients, boxes too wide to pack, small sums and runs
 without numpy.
 
@@ -31,6 +36,7 @@ divisor whose terms differ in at most one variable takes a heap loop.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import operator
@@ -541,13 +547,16 @@ class Polynomial:
 def format_terms(u: Universe, pairs: Iterable[tuple[int, Scalar]]) -> str:
     """The text of a nonzero polynomial over `u` from its (key, coeff)
     terms, printed in the order given."""
-    m = u._mask
-    tables = [(_Factors(nm), sh) for nm, sh in zip(u.names, u._shifts)]
+    tables = []
+    for i in range(0, u.nvars, 3):
+        names = u.names[i:i + 3]
+        tables.append((_Factors(names, u.bits), u._shifts[i + len(names) - 1],
+                       (1 << u.bits * len(names)) - 1))
     parts = []
     for k, c in pairs:
         neg = c < 0
         a = -c if neg else c
-        mono = "".join([tab[(k >> sh) & m] for tab, sh in tables])[:-1]
+        mono = "".join([tab[(k >> sh) & m] for tab, sh, m in tables])[:-1]
         if not mono:
             body = str(a)
         elif a == 1:
@@ -562,15 +571,22 @@ def format_terms(u: Universe, pairs: Iterable[tuple[int, Scalar]]) -> str:
 
 
 class _Factors(dict):
-    """One variable's text factor by exponent: "", "name*" or "name^e*",
-    made on first use."""
+    """The text factors of a group of consecutive variables by their packed
+    exponents, each factor "name*" or "name^e*", made on first use."""
 
-    def __init__(self, name: str):
+    def __init__(self, names: Sequence[str], bits: int):
         super().__init__()
-        self.name = name
+        self.names = names
+        self.bits = bits
 
-    def __missing__(self, e: int) -> str:
-        s = self[e] = "" if e == 0 else f"{self.name}*" if e == 1 else f"{self.name}^{e}*"
+    def __missing__(self, key: int) -> str:
+        m = (1 << self.bits) - 1
+        factors = []
+        for j, name in enumerate(self.names):
+            e = key >> self.bits * (len(self.names) - 1 - j) & m
+            if e:
+                factors.append(f"{name}*" if e == 1 else f"{name}^{e}*")
+        s = self[key] = "".join(factors)
         return s
 
 
@@ -736,22 +752,16 @@ _LIMB = 31
 # and exact Python ints in object arrays
 _CHUNK_I64 = 1 << 21
 _CHUNK_OBJ = 1 << 16
+# int64 sums of at least this many pairs try the dense reduction; below it
+# the sort was as fast
+_DENSE_MIN_PAIRS = 1 << 16
+# cells of the dense reduction's accumulator, per limb
+_DENSE_CELLS = 1 << 20
 
 
 def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
-    """The sum of sign*p*q over nonempty triples by one sort-and-sum kernel,
-    as a Polynomial with its `var_maxes` set, or None when it declines.
-
-    Keys are rebased, on the operands only, to a mixed-radix index over the
-    sum's exponent box (dims_i = max over triples of vp_i + vq_i, plus 1;
-    first variable most significant): the map is additive and keeps the key
-    order.  The outer products are taken whole rows of the smaller operand
-    at a time, rows of different triples sharing a chunk, and no chunk
-    holds more pairs than the largest single product would take alone.
-    Each chunk and the running accumulator are reduced by one in-place sort
-    of (index << b) | position and a segmented sum; accumulator entries
-    carry the all-ones position, which no pair has, and keep their order in
-    the sort.
+    """The sum of sign*p*q over nonempty triples by one kernel, as a
+    Polynomial with its `var_maxes` set, or None when it declines.
 
     The certificate picks how values are held.  Every output coefficient is
     a sum of products whose absolute values total at most the sum over
@@ -760,12 +770,26 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
     fewer than 2**31 pairs, each product is split into two int64 limbs
     (v >> 31, v & (2**31-1)) whose sums stay below 2**62, and the limbs are
     joined as Python ints per output term.  Otherwise the values are exact
-    Python ints in object arrays, with a smaller chunk.  Every way, the
-    terms equal the dict loop's.
+    Python ints in object arrays, with a smaller chunk.
 
     The kernel declines before building any array: on non-integer
     coefficients, and when the largest box index shifted by the position
-    bits does not fit 63 bits.
+    bits does not fit 63 bits.  The exponent box has dims_i = max over
+    triples of vp_i + vq_i, plus 1, the first variable most significant; no
+    chunk of pairs holds more than the largest single product would take
+    alone.
+
+    int64 and limb sums of `_DENSE_MIN_PAIRS` or more pairs try
+    `_dense_sum`, which runs when the box compacted by the sum's exponent
+    relations has no more cells than the sum has pairs.  Every other sum is
+    sorted: keys are rebased, on the operands only, to the mixed-radix index
+    over the box, an additive map that keeps the key order.  The outer
+    products are taken whole rows of the smaller operand at a time, rows of
+    different triples sharing a chunk.  Each chunk and the running
+    accumulator are reduced by one in-place sort of (index << b) | position
+    and a segmented sum; accumulator entries carry the all-ones position,
+    which no pair has, and keep their order in the sort.  Either way the
+    terms equal the dict loop's, in ascending key order.
     """
     ops = []
     bound = 0
@@ -795,6 +819,31 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
     b = cap.bit_length()
     if (box - 1).bit_length() + b > 63:
         return None
+    strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+    digits = [(i, sh, s, d) for i, (sh, s, d) in enumerate(zip(u._shifts, strides, dims)) if d > 1]
+    kdt = "uint64" if u.bits * u.nvars <= 64 else object
+
+    def operand(terms, sign=1):
+        """One int64 row of exponents per digit, and the values."""
+        keys = _np.fromiter(terms.keys(), dtype=kdt, count=len(terms))
+        exps = _np.array([(keys >> sh) & u._mask for _, sh, _, _ in digits],
+                         dtype=_np.int64).reshape(len(digits), len(terms))
+        vals = terms.values() if sign > 0 else map(operator.neg, terms.values())
+        return exps, _np.fromiter(vals, dtype=vdt, count=len(terms))
+
+    operands = [(*operand(p.terms, sign), *operand(q.terms)) for sign, p, q in ops]
+    if vdt is not object and pairs >= _DENSE_MIN_PAIRS:
+        out = _dense_sum(u, operands, digits, kdt, limbs, cap, pairs)
+        if out is not None:
+            return out
+
+    def rebase(exps):
+        idx = _np.zeros(exps.shape[1], dtype=_np.int64)
+        for row, (_, _, s, _) in zip(exps, digits):
+            idx += row * (s << b)
+        return idx
+
+    operands = [(rebase(pe), pv, rebase(qe), qv) for pe, pv, qe, qv in operands]
     # chunks of (op, first row, end row) segments, cap pairs at most
     chunks: list[tuple[list, int]] = [([], 0)]
     for t, (_, p, q) in enumerate(ops):
@@ -809,20 +858,6 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
             segs.append((t, r, r + rows))
             chunks[-1] = (segs, used + rows * lq)
             r += rows
-
-    strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
-    digits = [(i, sh, s, d) for i, (sh, s, d) in enumerate(zip(u._shifts, strides, dims)) if d > 1]
-    kdt = "uint64" if u.bits * u.nvars <= 64 else object
-
-    def rebase(terms, sign=1):
-        keys = _np.fromiter(terms.keys(), dtype=kdt, count=len(terms))
-        idx = _np.zeros(len(terms), dtype=_np.int64)
-        for _, sh, s, _ in digits:
-            idx += ((keys >> sh) & u._mask).astype(_np.int64) * (s << b)
-        vals = terms.values() if sign > 0 else map(operator.neg, terms.values())
-        return idx, _np.fromiter(vals, dtype=vdt, count=len(terms))
-
-    operands = [(*rebase(p.terms, sign), *rebase(q.terms)) for sign, p, q in ops]
     low = (1 << b) - 1
     acc_k = _np.empty(0, dtype=_np.int64)
     acc_v = _np.empty((limbs, 0), dtype=vdt)
@@ -861,14 +896,199 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
     idx = acc_k[nz] >> b
     keys = _np.zeros(len(idx), dtype=kdt)
     vmax = [0] * u.nvars
-    for i, sh, s, d in digits:
-        digit = (idx // s) % d
-        if len(digit):
-            vmax[i] = int(digit.max())
-        keys |= digit.astype(kdt) << sh
+    for digit in digits:
+        _put_digit(keys, vmax, digit, (idx // digit[2]) % digit[3], kdt)
     out = Polynomial(u, dict(zip(keys.tolist(), vals[nz].tolist())))
     out._vmax = tuple(vmax)
     return out
+
+
+def _relations(operands, dims: list[int]) -> list[tuple[int, list[int], int]]:
+    """The exact linear relations w.e = c that every pair sum's exponent
+    vector e satisfies, over the kernel's digits (`dims` their sizes), as
+    (j, w, c): w is an integer vector, nonzero at j, and zero at every
+    other relation's j, so e_j = (c - w.e + w_j*e_j) / w_j exactly.
+
+    w is orthogonal to every exponent difference within an operand and to
+    every difference between the triples' base sums e_p0 + e_q0; that
+    nullspace is the nullspace of their Gram matrix, found by fraction-free
+    Gauss-Jordan elimination.  Columns are taken narrowest first, so the
+    digits left without a pivot, the ones the relations drop, are the
+    widest the relations allow.  When the Gram entries could pass 2**62
+    there are no relations.
+    """
+    k = len(dims)
+    rows = sum(pe.shape[1] + qe.shape[1] for pe, _, qe, _ in operands)
+    if not k or (rows + len(operands)) * max(dims) ** 2 >= _I64_SAFE:
+        return []
+    gram = _np.zeros((k, k), dtype=_np.int64)
+    for pe, _, qe, _ in operands:
+        for e in (pe, qe):
+            delta = e - e[:, :1]
+            gram += delta @ delta.T
+    base = [pe[:, 0] + qe[:, 0] for pe, _, qe, _ in operands]
+    for e in base[1:]:
+        gram += _np.outer(e - base[0], e - base[0])
+    order = sorted(range(k), key=lambda i: (dims[i], i))
+    m = [[int(gram[r, c]) for c in order] for r in range(k)]
+    pivots: list[int] = []
+    for c in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(k):
+            if i != r and m[i][c]:
+                a, f = m[r][c], m[i][c]
+                row = [a * x - f * y for x, y in zip(m[i], m[r])]
+                g = math.gcd(*row) or 1
+                m[i] = [x // g for x in row]
+        pivots.append(c)
+    out = []
+    for c in range(k):
+        if c in pivots:
+            continue
+        lcm = math.lcm(*(m[r][p] for r, p in enumerate(pivots)))
+        w = [0] * k
+        w[order[c]] = lcm
+        for r, p in enumerate(pivots):
+            w[order[p]] = -m[r][c] * lcm // m[r][p]
+        g = math.gcd(*w)
+        w = [x // g for x in w]
+        # keeps w.e within int64 for every e in the box
+        if max(map(abs, w)) * sum(dims) < _I64_SAFE:
+            out.append((order[c], w, sum(x * int(e) for x, e in zip(w, base[0]))))
+    return out
+
+
+def _dense_sum(u: Universe, operands, digits, kdt, limbs: int, cap: int, pairs: int):
+    """`_np_mul`'s dense reduction of its rebased `operands` (exponent rows
+    per digit, values), or None when the compacted box has more cells than
+    the sum has pairs or its last digit is wider than `_DENSE_CELLS`.
+    Once it runs it empties `operands`.
+
+    `_relations` drops one digit per relation; the kept digits, first
+    variable most significant, index a box of at most `pairs` cells.  The
+    trailing kept digits whose box fits `_DENSE_CELLS` form one stripe's
+    accumulator, and the leading ones pick the stripe.  Each operand's rows
+    are grouped by their leading index; a stripe takes the group pairs
+    whose leading indices add to it, in outer products of at most `cap`
+    pairs (the sort's chunk), scatter-added with `np.add.at` into one int64
+    array per limb.  The cells it touched are read with `flatnonzero` and zeroed.
+    Dropped digits are rebuilt from the kept ones by exact division, and
+    the terms come out in ascending key order, as the sort leaves them.
+    """
+    dims = [d for *_, d in digits]
+    rels = _relations(operands, dims)
+    dropped = {j for j, _, _ in rels}
+    kept = [i for i in range(len(dims)) if i not in dropped]
+    kdims = [dims[i] for i in kept]
+    cells = math.prod(kdims)
+    if cells > pairs:
+        return None
+    lead, inner = len(kept), 1
+    while lead and inner * kdims[lead - 1] <= _DENSE_CELLS:
+        lead -= 1
+        inner *= kdims[lead]
+    if inner == 1 and kept:
+        return None  # the last digit alone is wider than a stripe
+    stripes = cells // inner
+    kstrides = [math.prod(kdims[i + 1:]) for i in range(len(kept))]
+    reach = _np.arange(stripes + 1)  # the bounds of Q's rows by leading index
+    groups = []
+    for pe, pv, qe, qv in operands:
+        sides = []
+        for e, v in ((pe, pv), (qe, qv)):
+            idx = _np.zeros(e.shape[1], dtype=_np.int64)
+            for i, s in zip(kept, kstrides):
+                idx += e[i] * s
+            order = _np.argsort(idx // inner, kind="stable")
+            idx = idx[order]
+            sides.append((idx // inner, idx % inner, v[order]))
+        (pl, pr, pv), (ql, qr, qv) = sides
+        heads, starts = _np.unique(pl, return_index=True)
+        # P's leading indices with their rows, Q's rows by leading index,
+        # and the range of Q's leading indices
+        groups.append((heads.tolist(), [*starts.tolist(), len(pl)],
+                       _np.searchsorted(ql, reach).tolist(), int(ql[0]), int(ql[-1]),
+                       pr, pv, qr, qv))
+    # the exponent rows are spent: freeing them keeps the peak near the sort's
+    operands.clear()
+    del pe, qe, e
+    key = _np.empty(cap, dtype=_np.int64)
+    val = _np.empty(cap, dtype=_np.int64)
+    acc = _np.zeros((limbs, inner), dtype=_np.int64)
+    low = (1 << _LIMB) - 1
+
+    def scatter(n):
+        if limbs == 1:
+            _np.add.at(acc[0], key[:n], val[:n])
+        else:
+            _np.add.at(acc[0], key[:n], val[:n] >> _LIMB)
+            _np.add.at(acc[1], key[:n], val[:n] & low)
+
+    found_cells, found_vals = [], []
+    for stripe in range(stripes):
+        at = 0
+        for heads, rows, qb, qlo, qhi, pr, pv, qr, qv in groups:
+            for g in range(bisect.bisect_left(heads, stripe - qhi),
+                           bisect.bisect_right(heads, stripe - qlo)):
+                r0, r1 = rows[g], rows[g + 1]
+                q0, q1 = qb[stripe - heads[g]], qb[stripe - heads[g] + 1]
+                lq = q1 - q0
+                if not lq:
+                    continue
+                step = cap // lq
+                for r in range(r0, r1, step):
+                    shape = (min(step, r1 - r), lq)
+                    if at + shape[0] * lq > cap:
+                        scatter(at)
+                        at = 0
+                    end = at + shape[0] * lq
+                    _np.add(pr[r:r + shape[0], None], qr[q0:q1], out=key[at:end].reshape(shape))
+                    _np.multiply(pv[r:r + shape[0], None], qv[q0:q1], out=val[at:end].reshape(shape))
+                    at = end
+        if not at:
+            continue
+        scatter(at)
+        hit = _np.flatnonzero(acc[0] if limbs == 1 else acc[0] | acc[1])
+        found_cells.append(hit + stripe * inner)
+        found_vals.append(acc[:, hit])
+        acc[:, hit] = 0
+    cell = _np.concatenate(found_cells)
+    acc_v = _np.concatenate(found_vals, axis=1)
+    del found_cells, found_vals, groups
+    vals = acc_v[0]
+    if limbs == 2:
+        vals = (vals.astype(object) << _LIMB) + acc_v[1].astype(object)
+    nz = vals != 0
+    cell, vals = cell[nz], vals[nz]
+    # keys digit by digit: the kept ones, then each dropped one from its relation
+    keys = _np.zeros(len(cell), dtype=kdt)
+    vmax = [0] * u.nvars
+    rest = [_np.full(len(cell), c, dtype=_np.int64) for _, _, c in rels]
+    for i, s, d in zip(kept, kstrides, kdims):
+        e = (cell // s) % d
+        for (_, w, _), t in zip(rels, rest):
+            if w[i]:
+                t -= e * w[i]
+        _put_digit(keys, vmax, digits[i], e, kdt)
+    for (j, w, _), t in zip(rels, rest):
+        t //= w[j]
+        _put_digit(keys, vmax, digits[j], t, kdt)
+    order = _np.argsort(keys, kind="stable")
+    out = Polynomial(u, dict(zip(keys[order].tolist(), vals[order].tolist())))
+    out._vmax = tuple(vmax)
+    return out
+
+
+def _put_digit(keys, vmax: list[int], digit, e, kdt) -> None:
+    """Or one digit's exponents `e` into `keys`, and note their maximum."""
+    i, sh, _, _ = digit
+    if len(e):
+        vmax[i] = int(e.max())
+    keys |= e.astype(kdt) << sh
 
 
 # univariate helpers ------------------------------------------------------

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import Polynomial, Scalar, Universe, _demote, x_universe
+from .polycore import Polynomial, ProblemTooLarge, Scalar, Universe, _demote, a_universe, x_universe
 from .polymatrix import NonSquareMatrix, PolyMatrix, qmat_rank
 
 
@@ -106,6 +106,27 @@ def sym_power(A: PolyMatrix, d: int) -> PolyMatrix:
     top = max((e for row in A.rows for a in row for e in a.var_maxes()), default=0)
     u.check_product_exponent(d * top)
     return PolyMatrix(u, _sym_power_rows(A.rows, d, Polynomial.zero(u), Polynomial.const(u, 1)))
+
+
+# The largest symbolic rho_d of the generic n x n matrix, as the larger of
+# its term count C(n^2+d-1, d) and n*N^2, the entry products of the
+# recurrence's last step.  On a 2-core Xeon the largest accepted sizes took
+# under 3 s (n = 6, d = 4: 95,256, 2.8 s); n = 10, d = 3 (484,000) took
+# 13 s, and n = 6, d = 6 (4.5M terms) gave no result in 60 s.
+MAX_SYM_POWER_SIZE = 100_000
+
+
+def check_sym_power_size(n: int, d: int) -> None:
+    """Raise, before any work, when rho_d of the generic n x n matrix is
+    past MAX_SYM_POWER_SIZE, or its names or exponents do not fit
+    `a_universe(n)`."""
+    a_universe(n).check_product_exponent(d)
+    N = basis_size(n, d)
+    size = max(math.comb(n * n + d - 1, d), n * N * N)
+    if size > MAX_SYM_POWER_SIZE:
+        raise ProblemTooLarge(
+            f"rho_{d} of the generic {n} x {n} matrix has size {size}; "
+            f"the limit is MAX_SYM_POWER_SIZE = {MAX_SYM_POWER_SIZE}")
 
 
 def sym_power_scalar(A: Sequence[Sequence[Scalar]], d: int) -> list[list[Scalar]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import Polynomial, Scalar, univariate_coeffs
+from .polycore import Polynomial, ProblemTooLarge, Scalar, univariate_coeffs
 from .polymatrix import (
     SingularMatrixError,
     qmat_det,
@@ -32,6 +32,10 @@ from .veronese import PartitionType, monomial_basis, polarize
 RETRY_BUDGET = 16
 ENTRY_BOUND = 999
 EIGENVALUE_BOUND = 99
+# The largest special-locus matrix: on a 2-core Xeon n = 30 took 1.2-2 s,
+# n = 40 7 s and n = 50 29 s, and past 2*EIGENVALUE_BOUND + 1 no spectrum
+# of distinct eigenvalues exists.
+MAX_SPECIAL_N = 30
 SEARCH_HEIGHT = 3
 SEARCH_MAX_VARS = 5
 
@@ -428,6 +432,9 @@ def special_locus_matrix(kind: str, n: int, seed: int = 0) -> dict:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > MAX_SPECIAL_N:
+        raise ProblemTooLarge(
+            f"a special-locus matrix of size n = {n}; the limit is MAX_SPECIAL_N = {MAX_SPECIAL_N}")
     rng = random.Random(seed)
     V = random_invertible(rng, n)
     if kind == "rank_deficient":

@@ -254,6 +254,13 @@ def test_kalman_det_beyond_size_limit_is_input_error(capsys, form, N):
     (["kalman-matrix", "--f", "x11 + x1"], "the limit is n <= 10"),
     (["degrees", "--n", "80", "--d", "80"], "the limit is MAX_PARTITIONS = 100000"),
     (["degrees", "--n", "2", "--d", "1000000000"], "the limit is MAX_PARTITIONS = 100000"),
+    (["sympower", "--n", "6", "--d", "6"], "the limit is MAX_SYM_POWER_SIZE = 100000"),
+    (["kalman-matrix", "--f", "x1^3 + x2^3 - x3^3 + x1*x2*x3"],
+     "the limit is MAX_KALMAN_TERMS = 20000000"),
+    (["kalman-matrix", "--f", "x1^2 + x2^2 + x3^2 + x4^2"],
+     "the limit is MAX_KALMAN_TERMS = 20000000"),
+    (["kalman-matrix", "--f", "x1^12 + x2^12"], "product exponent would exceed 7-bit field"),
+    (["witness", "--n", "200", "--kind", "rank_deficient"], "the limit is MAX_SPECIAL_N = 30"),
 ])
 def test_size_limits_are_input_errors(capsys, argv, limit):
     start = time.perf_counter()

@@ -17,10 +17,12 @@ from conftest import matrices
 from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
 from kalmanvar.kalman import (
     MAX_DET_N,
+    MAX_KALMAN_TERMS,
     KalmanInstance,
     LineRestrictionZero,
     ProblemTooLarge,
     RankDeficientC,
+    check_kalman_matrix_size,
     delta_at,
     delta_d_at,
     factor_order_along_line,
@@ -287,6 +289,30 @@ def test_kalman_det_size_limit_edge(monkeypatch, text, n, N):
     else:
         with pytest.raises(ProblemTooLarge, match=f"N = {N}; the limit is MAX_DET_N = 7"):
             kalman_det(f)
+
+
+@pytest.mark.parametrize("text,n,bound", [
+    ("x1^11 + 2*x1*x2^10 - x2^11", 2, 12_346_500),  # the largest accepted
+    ("x1 + x2 + x3 + x4 + x5 + x6", 6, 4_496_388),
+    ("x2^2 - x1*x3", 3, 361_032),
+    ("x1 + x2 + x3 + x4 + x5 + x6 + x7", 7, 202_927_725),  # the smallest rejected
+    ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 3, 405_523_030),
+])
+def test_kalman_matrix_size_limit_edge(text, n, bound):
+    inst = KalmanInstance.from_form(parse_polynomial(text, x_universe(n)))
+    if bound <= MAX_KALMAN_TERMS:
+        check_kalman_matrix_size(inst)
+    else:
+        with pytest.raises(ProblemTooLarge, match=f"may hold {bound} terms; "
+                                                  "the limit is MAX_KALMAN_TERMS = 20000000"):
+            check_kalman_matrix_size(inst)
+
+
+def test_kalman_matrix_exponents_checked_up_front():
+    # the last block of K_12 of a binary form has degree 12 * 12 = 144 > 127
+    inst = KalmanInstance.from_form(parse_polynomial("x1^12 + x2^12", x_universe(2)))
+    with pytest.raises(polycore.ExponentOverflow, match="7-bit field"):
+        check_kalman_matrix_size(inst)
 
 
 def test_accepted_determinants_fit_the_exponent_field():

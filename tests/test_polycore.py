@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -110,10 +111,15 @@ def _reference_text(p: Polynomial) -> str:
     return "".join(parts) or "0"
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_to_text_matches_reference_formatter(seed):
+@pytest.mark.parametrize("seed,u", [
+    *(pytest.param(seed, a_universe(3), id=str(seed)) for seed in range(8)),
+    *(pytest.param(seed, x_universe(n), id=f"{n} vars-{seed}")
+      for n in (4, 7, 10) for seed in range(8)),
+])
+def test_to_text_matches_reference_formatter(seed, u):
+    # monomials are printed three variables at a time; 4, 7 and 10 variables
+    # leave a last group of one
     rng = random.Random(seed)
-    u = a_universe(3)
     coeffs = [1, -1, 3, -17, 10**20, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 9)]
     terms = {tuple(rng.choice([0, 0, 0, 1, 2, 11, 127]) for _ in range(u.nvars)): rng.choice(coeffs)
              for _ in range(rng.randint(1, 60))}
@@ -475,6 +481,143 @@ def test_np_mul_declines_before_any_array(kind):
         # one declining triple declines the whole sum
         assert polycore._np_mul([(1, q, q), (-1, p, q)]) is None
     assert p * q == _dict_loop_product(p, q)
+
+
+# -- the dense reduction ---------------------------------------------------------------
+
+U4 = x_universe(4)
+# the weights w whose value w.e is the same on every exponent of an operand
+DENSE_RELATIONS = {
+    "none": [],
+    "homogeneous": [(1, 1, 1, 1)],
+    "torus": [(2, -1, 0, 1)],
+    "two": [(1, 1, 1, 1), (1, -1, 0, 0)],
+}
+# x1 the widest variable, so that relations drop it ahead of kept digits
+DENSE_BOX = [range(6), range(4), range(4), range(4)]
+
+
+def _relation_classes(ws) -> list[list[tuple[int, ...]]]:
+    """The exponent vectors of DENSE_BOX grouped by their values under ws,
+    largest group first."""
+    classes: dict[tuple, list] = {}
+    for e in itertools.product(*DENSE_BOX):
+        classes.setdefault(tuple(sum(a * b for a, b in zip(w, e)) for w in ws), []).append(e)
+    return sorted(classes.values(), key=lambda c: (-len(c), c))
+
+
+def _dense_triples(kind: str, form: str, rng: random.Random):
+    """Three triples whose pair sums keep the relations of `kind`: each
+    operand's support is most of one class, the classes swapped between
+    triples so that every pair sum lies in the sum of the two.  "unequal"
+    has homogeneous operands whose pair sums differ in degree, so only the
+    base sums of the triples show that total degree is no relation."""
+    lo, hi = KERNEL_COEFFS[form]
+
+    def operand(support):
+        picked = rng.sample(support, max(1, 3 * len(support) // 4))
+        return Polynomial.from_exponents(U4, {e: rng.randint(lo, hi) * rng.choice([1, -1])
+                                              for e in picked})
+
+    if kind == "unequal":
+        by_degree = {d: [e for e in itertools.product(*DENSE_BOX) if sum(e) == d]
+                     for d in (3, 4)}
+        pairs = [(3, 3), (3, 4), (4, 3)]
+        return [(rng.choice([1, -1]), operand(by_degree[a]), operand(by_degree[b]))
+                for a, b in pairs]
+    classes = _relation_classes(DENSE_RELATIONS[kind])
+    a, b = classes[0], classes[1 if len(classes) > 1 else 0]
+    return [(rng.choice([1, -1]), operand(x), operand(y)) for x, y in ((a, b), (b, a), (a, b))]
+
+
+def _spy_dense(mp) -> list:
+    """Patch the dense reduction to record, per call, the relations found and
+    whether it ran (False: the sort ran)."""
+    seen = []
+    relations, dense = polycore._relations, polycore._dense_sum
+
+    def spy_relations(*args):
+        out = relations(*args)
+        seen.append([len(out), False])
+        return out
+
+    def spy_dense(*args):
+        out = dense(*args)
+        seen[-1][1] = out is not None
+        return out
+
+    mp.setattr(polycore, "_relations", spy_relations)
+    mp.setattr(polycore, "_dense_sum", spy_dense)
+    return seen
+
+
+@pytest.mark.parametrize("chunk", [64, 1 << 21])
+@pytest.mark.parametrize("cells", [4, 7, 49, 1 << 20])
+@pytest.mark.parametrize("form", ["int64", "limbs"])
+@pytest.mark.parametrize("kind", [*DENSE_RELATIONS, "unequal"])
+def test_dense_reduction_matches_dict_loop(kind, form, cells, chunk):
+    rng = random.Random(f"{kind}:{form}:{cells}:{chunk}")
+    triples = _dense_triples(kind, form, rng)
+    cert, _ = _norms(triples)
+    assert (cert < 2**62) == (form == "int64")
+    expected = len(DENSE_RELATIONS.get(kind, []))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_DENSE_MIN_PAIRS", 0)
+        mp.setattr(polycore, "_DENSE_CELLS", cells)
+        mp.setattr(polycore, "_CHUNK_I64", chunk)
+        seen = _spy_dense(mp)
+        out = polycore._np_mul(triples)
+        # the negated sum cancels every term
+        zero = polycore._np_mul(triples + [(-s, p, q) for s, p, q in triples])
+    # the last digit has 7 values: it fits a stripe of 7 cells, not one of 4
+    dense = kind != "unequal" and cells >= 7
+    assert seen == [[expected, dense], [expected, dense]]
+    assert out.terms == _dict_loop_sum(triples).terms
+    assert list(out.terms) == sorted(out.terms)  # the sort's order
+    assert all(type(c) is int for c in out.terms.values())
+    assert out.var_maxes() == Polynomial(U4, out.terms).var_maxes()
+    assert zero.terms == {} and zero.var_maxes() == (0,) * 4
+
+
+def test_kernel_takes_dense_on_a_ladder_like_sum_and_sort_on_a_sparse_one():
+    ladder = P("x1 + 2*x2 - 3*x3 + x4", U4)
+    p, q = ladder ** 10, ladder ** 12 - P("x2^12", U4)  # 286 x 455 pairs, homogeneous
+    rng = random.Random(3)
+    sparse = [Polynomial.from_exponents(U4, {tuple(rng.randrange(60) for _ in range(4)): 1 + k
+                                             for k in range(300)}) for _ in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_dense(mp)
+        dense_out, sparse_out = p * q, sparse[0] * sparse[1]
+    assert seen == [[1, True], [0, False]]
+    assert dense_out == _dict_loop_product(p, q)
+    assert sparse_out == _dict_loop_product(*sparse)
+
+
+def test_dense_reduction_with_keys_wider_than_64_bits():
+    u = a_universe(4)  # 128-bit keys
+    base = parse_polynomial("a11 + a23 - 3*a44 + 2*a12", u)
+    p, q = base ** 10, base ** 11 - parse_polynomial("a44^11", u)  # 286 x 364 pairs
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_dense(mp)
+        out = p * q
+    assert seen == [[1, True]]
+    assert out.terms == _dict_loop_product(p, q).terms
+    assert list(out.terms) == sorted(out.terms)
+    assert out.var_maxes() == Polynomial(u, out.terms).var_maxes()
+
+
+def test_dense_accumulator_is_bounded_by_the_cell_cap():
+    # p*q - q*p over a 32^4 box: 2**21 pairs and 2**20 cells, so a whole-box
+    # accumulator would take 8 MB; 4096 cells take 32 KB
+    p = Polynomial.from_exponents(U4, {(a, b, 0, 0): 1 + a + 3 * b for a in range(32) for b in range(32)})
+    q = Polynomial.from_exponents(U4, {(0, 0, c, d): 1 + c + 2 * d for c in range(32) for d in range(32)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_DENSE_CELLS", 1 << 12)
+        mp.setattr(polycore, "_CHUNK_I64", 1 << 12)
+        seen = _spy_dense(mp)
+        peak = _kernel_peak([(1, p, q), (-1, q, p)])
+    assert seen == [[0, True]]
+    assert peak < 8 * 32**4 // 8
 
 
 # -- univariate helpers --------------------------------------------------------------

@@ -21,12 +21,15 @@ from conftest import (
     vectors,
 )
 from kalmanvar.enumerative import partitions
-from kalmanvar.polycore import ExponentOverflow, Polynomial, a_universe, parse_polynomial, x_universe
+from kalmanvar.polycore import (ExponentOverflow, Polynomial, ProblemTooLarge, a_universe,
+                                parse_polynomial, x_universe)
 from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_vec
 from kalmanvar.veronese import (
+    MAX_SYM_POWER_SIZE,
     InhomogeneousInput,
     PartitionType,
     basis_size,
+    check_sym_power_size,
     coeff_matrix,
     coeff_row,
     mon_vector,
@@ -314,3 +317,29 @@ def test_polarize_matches_sympy(text):
         got = {fmu.u.unpack(k): sympy.Rational(c.numerator, c.denominator)
                for k, c in fmu.terms.items()}
         assert got == {k: c for k, c in want.items() if c}, (text, mu.parts)
+
+
+@pytest.mark.parametrize("n,d,size", [
+    (6, 4, 95_256),  # n*N^2 = 6 * 126^2
+    (6, 5, 658_008),  # C(40, 5) terms
+    (7, 3, 49_392),
+    (8, 3, 115_200),
+    (4, 6, 54_264),
+    (4, 7, 170_544),
+    (2, 82, 98_770),  # C(85, 3) terms
+    (2, 83, 102_340),
+])
+def test_sym_power_size_limit_edge(n, d, size):
+    if size <= MAX_SYM_POWER_SIZE:
+        check_sym_power_size(n, d)
+    else:
+        with pytest.raises(ProblemTooLarge, match=f"has size {size}; "
+                                                  "the limit is MAX_SYM_POWER_SIZE = 100000"):
+            check_sym_power_size(n, d)
+
+
+def test_sym_power_size_check_keeps_the_name_and_field_limits():
+    with pytest.raises(ProblemTooLarge, match="the limit is n <= 10"):
+        check_sym_power_size(12, 3)
+    with pytest.raises(ExponentOverflow, match="7-bit field"):
+        check_sym_power_size(2, 200)

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from conftest import U2, U3
 from kalmanvar.enumerative import partitions
 from kalmanvar.kalman import KalmanInstance, kalman_det, membership_necessary
-from kalmanvar.polycore import parse_polynomial, x_universe
+from kalmanvar import witness
+from kalmanvar.polycore import ProblemTooLarge, parse_polynomial, x_universe
 from kalmanvar.polymatrix import qmat_det, qmat_rank, qmat_vec
 from kalmanvar.veronese import polarize_value
 from kalmanvar.witness import (
+    MAX_SPECIAL_N,
     SEARCH_HEIGHT,
     SEARCH_MAX_VARS,
     EigenSpec,
@@ -305,6 +307,24 @@ def test_special_locus_deterministic():
     a = special_locus_matrix("rank_deficient", 3, seed=33)
     b = special_locus_matrix("rank_deficient", 3, seed=33)
     assert a == b
+
+
+class _Sampled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["rank_deficient", "repeated_eigenvalue_jordan"])
+def test_special_locus_size_limit_edge(monkeypatch, kind):
+    # n <= MAX_SPECIAL_N reaches the sampling; a larger n is rejected first
+    def sample(*args):
+        raise _Sampled
+
+    monkeypatch.setattr(witness, "random_invertible", sample)
+    assert MAX_SPECIAL_N == 30
+    with pytest.raises(_Sampled):
+        special_locus_matrix(kind, MAX_SPECIAL_N)
+    with pytest.raises(ProblemTooLarge, match="n = 31; the limit is MAX_SPECIAL_N = 30"):
+        special_locus_matrix(kind, MAX_SPECIAL_N + 1)
 
 
 def test_special_locus_unknown_kind():
