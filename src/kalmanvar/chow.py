@@ -203,25 +203,27 @@ class TruncatedClass:
     def __repr__(self):
         return f"TruncatedClass(n={self.n}, s={self.s}, {self.poly.term_count()} terms)"
 
-    def _graded(self) -> list[tuple[int, int]]:
-        """(key, coeff) terms by degree, then by key: exponents ascending
-        (the second sort is stable)."""
-        t = self.poly.terms
-        return [(k, t[k]) for k in sorted(sorted(t), key=self.poly.u.key_degree)]
+    def graded_keys(self) -> list[int]:
+        """Term keys by degree, then by key: exponents ascending (the
+        second sort is stable)."""
+        return sorted(sorted(self.poly.terms), key=self.poly.u.key_degree)
 
-    def to_text(self) -> str:
-        """Graded, order-sorted monomial listing (degree, then exponents)."""
+    def to_text(self, keys: list[int] | None = None) -> str:
+        """Graded, order-sorted monomial listing (degree, then exponents).
+        `keys` is `graded_keys()`, for a caller that already has it."""
         if self.is_zero():
             return "0"
-        return format_terms(self.poly.u, self._graded())
+        if keys is None:
+            keys = self.graded_keys()
+        return format_terms(self.poly.u, keys, map(self.poly.terms.__getitem__, keys))
 
-    def to_json_obj(self) -> dict:
-        unpack = self.poly.u.unpack
+    def to_json_obj(self, keys: list[int] | None = None) -> dict:
+        unpack, terms = self.poly.u.unpack, self.poly.terms
         return {
             "n": self.n,
             "s": self.s,
-            "terms": [{"exponents": list(unpack(k)), "coefficient": c}
-                      for k, c in self._graded()],
+            "terms": [{"exponents": list(unpack(k)), "coefficient": terms[k]}
+                      for k in (self.graded_keys() if keys is None else keys)],
         }
 
 

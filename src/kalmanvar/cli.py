@@ -20,6 +20,7 @@ every printed polynomial re-parses to the identical canonical value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -234,9 +235,10 @@ def _cmd_chow(args: argparse.Namespace) -> str:
         cls = class_Wtilde(args.n, s)
         name = f"W~_{s}"
     if args.format == "json":
-        obj = cls.to_json_obj()
+        keys = cls.graded_keys()
+        obj = cls.to_json_obj(keys)
         obj["class"] = name
-        obj["text"] = cls.to_text()
+        obj["text"] = cls.to_text(keys)
         return _json(obj)
     return cls.to_text()
 
@@ -297,9 +299,12 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one input contract: each subcommand declares exactly the flags
-    its handler reads, with their types, defaults and formats."""
+    its handler reads, with their types, defaults and formats.  Built on
+    the first call and shared by every later one: parsing leaves no state
+    in it."""
     parser = argparse.ArgumentParser(
         prog="kalmanvar",
         description="Exact computer algebra for eigenpoint varieties of "
@@ -337,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
     try:

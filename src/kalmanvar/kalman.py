@@ -38,6 +38,7 @@ from .polycore import (
     ZeroPolynomial,
     _demote,
     a_universe,
+    lru,
     root_multiplicity_at_zero,
     t_universe,
     univariate_discriminant,
@@ -238,17 +239,12 @@ def kalman_det(f: Polynomial, n: int | None = None, d: int | None = None) -> Pol
             f"the limit is MAX_DET_N = {MAX_DET_N}")
     fc = f.canonical()
     key = (fc.u.names, fc.to_text(), n, d)
-    hit = _DET_CACHE.get(key)
-    if hit is not None:
-        _DET_CACHE.move_to_end(key)
-        return hit
-    inst = KalmanInstance.from_form(fc, n, d)
-    K = kalman_matrix(inst, PolyMatrix.generic(n))
-    det = K.det().canonical()
-    _DET_CACHE[key] = det
-    if len(_DET_CACHE) > _DET_CACHE_SIZE:
-        _DET_CACHE.popitem(last=False)
-    return det
+
+    def det():
+        K = kalman_matrix(KalmanInstance.from_form(fc, n, d), PolyMatrix.generic(n))
+        return K.det().canonical()
+
+    return lru(_DET_CACHE, _DET_CACHE_SIZE, key, det)
 
 
 def membership_necessary(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> bool:

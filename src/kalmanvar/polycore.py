@@ -41,8 +41,9 @@ import heapq
 import math
 import operator
 import re
+from collections import OrderedDict
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 try:  # optional accelerator; guarded so the package stays dependency-free
     import numpy as _np
@@ -50,6 +51,7 @@ except Exception:  # pragma: no cover
     _np = None
 
 Scalar = Union[int, Fraction]
+T = TypeVar("T")
 
 
 class UniverseMismatch(ValueError):
@@ -182,11 +184,25 @@ def t_universe() -> Universe:
     return _cached(("t",), 32)
 
 
+def lru(cache: OrderedDict, size: int, key, make: Callable[[], T]) -> T:
+    """cache[key], made by make() on a miss and kept as the most recent
+    entry; past `size` entries the least recently used one is dropped.  An
+    error in make() propagates and stores nothing."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = make()
+    if len(cache) > size:
+        cache.popitem(last=False)
+    return value
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over a Universe.
 
     `terms` maps packed keys to nonzero scalars.  Do not mutate after
-    construction; every operation returns a fresh value.
+    construction; an operation that changes nothing (`canonical` of a
+    canonical value) may return its operand itself.
     """
 
     __slots__ = ("u", "terms", "_deg", "_vmax", "_norms")
@@ -300,10 +316,6 @@ class Polynomial:
             raise ZeroPolynomial("zero polynomial has no leading term")
         k = max(self.terms)
         return k, self.terms[k]
-
-    def terms_sorted(self) -> Iterator[tuple[int, Scalar]]:
-        for k in sorted(self.terms, reverse=True):
-            yield k, self.terms[k]
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -519,20 +531,27 @@ class Polynomial:
         content removed, leading coefficient positive."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            if type(c) is Fraction:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        g = 0
-        ints = {}
-        for k, c in self.terms.items():
-            ci = int(c * den) if den != 1 or type(c) is Fraction else c
-            ints[k] = ci
-            g = math.gcd(g, ci)
-        lead = max(ints)
-        sign = 1 if ints[lead] > 0 else -1
-        g *= sign
-        out = Polynomial(self.u, {k: c // g for k, c in ints.items()})
+        try:
+            # past content 1, math.gcd only checks that the rest are ints
+            g = math.gcd(*self.terms.values())
+            ints = self.terms
+        except TypeError:  # a Fraction coefficient: clear denominators
+            den = 1
+            for c in self.terms.values():
+                if type(c) is Fraction:
+                    den = den * c.denominator // math.gcd(den, c.denominator)
+            ints = {k: int(c * den) for k, c in self.terms.items()}
+            g = math.gcd(*ints.values())
+        if ints[max(ints)] < 0:
+            g = -g
+        if g == 1:
+            if ints is self.terms:
+                return self
+            out = Polynomial(self.u, ints)
+        elif g == -1:
+            out = Polynomial(self.u, {k: -c for k, c in ints.items()})
+        else:
+            out = Polynomial(self.u, {k: c // g for k, c in ints.items()})
         out._vmax = self._vmax  # same keys
         return out
 
@@ -541,22 +560,27 @@ class Polynomial:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        return format_terms(self.u, self.terms_sorted())
+        keys = sorted(self.terms, reverse=True)
+        return format_terms(self.u, keys, map(self.terms.__getitem__, keys))
 
 
-def format_terms(u: Universe, pairs: Iterable[tuple[int, Scalar]]) -> str:
-    """The text of a nonzero polynomial over `u` from its (key, coeff)
-    terms, printed in the order given."""
-    tables = []
-    for i in range(0, u.nvars, 3):
-        names = u.names[i:i + 3]
-        tables.append((_Factors(names, u.bits), u._shifts[i + len(names) - 1],
-                       (1 << u.bits * len(names)) - 1))
+def format_terms(u: Universe, keys: Sequence[int], coeffs: Iterable[Scalar]) -> str:
+    """The text of a nonzero polynomial over `u` from its keys and their
+    coefficients, printed in the order given."""
+    # one lazily filled table per pair of variables, read at (k >> sh) & m
+    # for every key; tables of three variables miss on almost every term of
+    # a large determinant
+    groups = []
+    for i in range(0, u.nvars, 2):
+        names = u.names[i:i + 2]
+        tab = _Factors(names, u.bits)
+        sh, m = u._shifts[i + len(names) - 1], (1 << u.bits * len(names)) - 1
+        groups.append(map(tab.__getitem__, map(m.__and__, map(sh.__rrshift__, keys))))
     parts = []
-    for k, c in pairs:
+    for c, mono in zip(coeffs, map("".join, zip(*groups))):
         neg = c < 0
         a = -c if neg else c
-        mono = "".join([tab[(k >> sh) & m] for tab, sh, m in tables])[:-1]
+        mono = mono[:-1]
         if not mono:
             body = str(a)
         elif a == 1:

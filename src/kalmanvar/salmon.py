@@ -15,9 +15,10 @@ an eigenpoint on the conic.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
-from .polycore import NotDivisible, Polynomial, Scalar, _cached, parse_polynomial
+from .polycore import NotDivisible, Polynomial, Scalar, _cached, lru, parse_polynomial
 from .polymatrix import PolyMatrix
 from .veronese import monomial_basis
 
@@ -138,18 +139,29 @@ def g1_factor(f: Polynomial | None = None) -> Polynomial:
     return g1.specialize(vals)
 
 
+# Least-recently-used g2 by conic (None for the generic one, 2832 terms).
+_G2_CACHE_SIZE = 8
+_G2_CACHE: OrderedDict[tuple | None, Polynomial] = OrderedDict()
+
+
 def kalman_conic_equation(f: Polynomial | None = None) -> Polynomial:
     """g2 = Res(f1, f2, f) / g1: the canonical degree-6 equation (in the
     a-variables) of the matrices with an eigenpoint on the conic V(f).
 
     None asks for the generic conic (g2 then has bidegree (6,3) in (a, b)).
+    The last few results are kept; a degenerate conic raises every time.
     """
-    res = salmon_resultant(conic_triple(f))
-    g1 = g1_factor(f)
-    if g1.is_zero():
-        raise ValueError("degenerate conic: the g1 factor vanishes identically")
-    try:
-        g2 = res.exact_div(g1)
-    except NotDivisible as e:  # pragma: no cover - would signal a pipeline fault
-        raise NotDivisible("g1 does not divide the resultant; pipeline fault") from e
-    return g2.canonical()
+    key = None if f is None else (f.u.names, f.to_text())
+
+    def g2():
+        res = salmon_resultant(conic_triple(f))
+        g1 = g1_factor(f)
+        if g1.is_zero():
+            raise ValueError("degenerate conic: the g1 factor vanishes identically")
+        try:
+            quotient = res.exact_div(g1)
+        except NotDivisible as e:  # pragma: no cover - would signal a pipeline fault
+            raise NotDivisible("g1 does not divide the resultant; pipeline fault") from e
+        return quotient.canonical()
+
+    return lru(_G2_CACHE, _G2_CACHE_SIZE, key, g2)

@@ -176,6 +176,57 @@ def test_build_parser_smoke():
     assert ns.cmd == "sympower" and ns.n == 3 and ns.d == 2
 
 
+@pytest.fixture
+def unbuilt_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_main_builds_one_parser_tree(unbuilt_parser, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (VALID["degrees"], ["degrees", "--bogus"], VALID["chow"] + ["--ctilde"]):
+        run(capsys, argv)
+    # the root parser and one per subcommand, once
+    assert built == ["kalmanvar"] + [f"kalmanvar {cmd}" for cmd in DECLARED]
+
+
+def test_import_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import kalmanvar.cli as c; print(c.build_parser.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "0\n"
+
+
+# valid, undeclared flag, nonpositive count, handler error, help, help, valid
+SEQUENCE = [
+    VALID["degrees"],
+    VALID["degrees"] + ["--seed", "1"],
+    VALID["degrees"][:2] + ["--n", "0"],
+    ["salmon", "--conic", "x1^2"],
+    ["chow", "-h"],
+    ["-h"],
+    VALID["chow"] + ["--format", "json"],
+]
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    shared = [run(capsys, argv) for argv in SEQUENCE]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)  # a new tree per call
+    fresh = [run(capsys, argv) for argv in SEQUENCE]
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 2, 2, 2, 0, 0, 0]
+    assert "degenerate conic" in shared[3][2]
+
+
 # -- sympower ------------------------------------------------------------------
 
 
@@ -458,6 +509,22 @@ def test_chow_class_roundtrip(capsys):
     expect = class_W(2, 2)
     assert obj["terms"] == expect.to_json_obj()["terms"]
     assert obj["text"] == expect.to_text()
+
+
+def test_chow_json_sorts_the_terms_once(capsys, monkeypatch):
+    from kalmanvar.chow import TruncatedClass, class_W
+
+    calls = []
+    graded_keys = TruncatedClass.graded_keys
+    monkeypatch.setattr(TruncatedClass, "graded_keys",
+                        lambda self: calls.append(self) or graded_keys(self))
+    rc, out, _ = run(capsys, ["chow", "--n", "3", "--s", "2", "--w", "--format", "json"])
+    assert rc == EXIT_OK and len(calls) == 1
+    expect = class_W(3, 2)
+    obj = expect.to_json_obj()
+    obj["class"] = "W_2"
+    obj["text"] = expect.to_text()
+    assert out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_chow_partition_class(capsys):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -114,11 +116,11 @@ def _reference_text(p: Polynomial) -> str:
 @pytest.mark.parametrize("seed,u", [
     *(pytest.param(seed, a_universe(3), id=str(seed)) for seed in range(8)),
     *(pytest.param(seed, x_universe(n), id=f"{n} vars-{seed}")
-      for n in (4, 7, 10) for seed in range(8)),
+      for n in (3, 4, 5, 7, 10) for seed in range(8)),
 ])
 def test_to_text_matches_reference_formatter(seed, u):
-    # monomials are printed three variables at a time; 4, 7 and 10 variables
-    # leave a last group of one
+    # monomials are printed two variables at a time; 3, 5 and 7 variables
+    # and the nine of a_universe(3) leave a last group of one
     rng = random.Random(seed)
     coeffs = [1, -1, 3, -17, 10**20, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 9)]
     terms = {tuple(rng.choice([0, 0, 0, 1, 2, 11, 127]) for _ in range(u.nvars)): rng.choice(coeffs)
@@ -221,6 +223,69 @@ def test_canonical_normalizes():
     c = p.canonical()
     assert c == P("3*x1^2 - 2*x2^2")
     assert P("-6*x1^2 + 4*x2^2").canonical() == c
+
+
+def _reference_canonical(p: Polynomial) -> dict:
+    """Denominators cleared, content divided out and the leading coefficient
+    made positive, one coefficient at a time."""
+    den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    ints = {k: int(c * den) for k, c in p.terms.items()}
+    g = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return {k: c // g for k, c in ints.items()}
+
+
+@pytest.mark.parametrize("text,expect", [
+    ("x1 - 2*x2", "x1 - 2*x2"),
+    ("-x1 + x2", "x1 - x2"),
+    ("6*x1^2 - 4*x2", "3*x1^2 - 2*x2"),
+    ("-6*x1^2 + 4*x2", "3*x1^2 - 2*x2"),
+    ("1/2*x1 - 1/3*x2", "3*x1 - 2*x2"),
+    ("-4/3*x1 + 2*x2", "2*x1 - 3*x2"),
+    ("7", "1"),
+    ("-6", "1"),
+    ("-2/3", "1"),
+])
+def test_canonical_cases(text, expect):
+    p = P(text)
+    c = p.canonical()
+    assert c.terms == _reference_canonical(p) == P(expect).terms
+    assert c.canonical() is c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                       st.one_of(nonzero_ints, st.integers(-10**20, 10**20), nonzero_fractions)
+                       .filter(bool), min_size=1, max_size=6),
+       st.one_of(nonzero_ints, nonzero_fractions), st.booleans())
+def test_canonical_matches_general_path(terms, content, lone_constant):
+    # integer polynomials, content > 1 and negative leading coefficients
+    # come from the scaling; rational ones from the fractions
+    if lone_constant:
+        terms = {(0, 0, 0): next(iter(terms.values()))}
+    p = Polynomial.from_exponents(U3, terms).scale(content)
+    before = dict(p.terms)
+    c = p.canonical()
+    assert c.terms == _reference_canonical(p)
+    assert p.terms == before
+    assert all(type(x) is int for x in c.terms.values())
+    assert c.var_maxes() == p.var_maxes()
+    assert c.canonical() is c
+
+
+def test_lru_keeps_the_most_recent_entries_and_stores_no_error():
+    cache, made = OrderedDict(), []
+
+    def get(key):
+        return polycore.lru(cache, 2, key, lambda: made.append(key) or key.upper())
+
+    assert (get("a"), get("b"), get("a")) == ("A", "B", "A")
+    assert get("c") == "C"  # drops b, the least recently used
+    assert list(cache) == ["a", "c"] and made == ["a", "b", "c"]
+    with pytest.raises(ZeroDivisionError):
+        polycore.lru(cache, 2, "d", lambda: 1 // 0)
+    assert list(cache) == ["a", "c"]
 
 
 def test_leading_and_term_count():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
+from kalmanvar import salmon
 from kalmanvar.polycore import parse_polynomial, x_universe
 from kalmanvar.salmon import (
     AB_UNIVERSE,
@@ -109,6 +111,44 @@ def test_g1_degenerate_conic_rejected():
     # a conic with no x2^2, x2x3, x3^2 monomials kills g1 identically
     with pytest.raises(ValueError):
         kalman_conic_equation(parse_polynomial("x1^2", U3))
+
+
+def test_g2_cache_is_lru(monkeypatch):
+    # mirrors test_kalman_det_cache_is_lru
+    monkeypatch.setattr(salmon, "_G2_CACHE", OrderedDict())
+    size = salmon._G2_CACHE_SIZE
+    others = [parse_polynomial(f"x2^2 - x1*x3 + {k}*x3^2", U3) for k in range(1, 2 * size + 1)]
+    first = kalman_conic_equation(CONIC)
+    for g in others[:size - 1]:
+        kalman_conic_equation(g)
+    assert kalman_conic_equation(CONIC) is first  # a hit makes CONIC the most recent entry
+    kalman_conic_equation(others[size - 1])
+    assert len(salmon._G2_CACHE) == size
+    assert kalman_conic_equation(CONIC) is first
+    for g in others[size:]:
+        kalman_conic_equation(g)
+    assert len(salmon._G2_CACHE) == size
+    again = kalman_conic_equation(CONIC)
+    assert again is not first and again == first
+
+
+def test_degenerate_conic_raises_every_time_and_is_not_cached(monkeypatch):
+    monkeypatch.setattr(salmon, "_G2_CACHE", OrderedDict())
+    kalman_conic_equation(CONIC)
+    before = list(salmon._G2_CACHE.items())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degenerate conic"):
+            kalman_conic_equation(parse_polynomial("x1^2", U3))
+    assert list(salmon._G2_CACHE.items()) == before
+
+
+def test_generic_and_specific_g2_are_cached_apart(monkeypatch):
+    monkeypatch.setattr(salmon, "_G2_CACHE", OrderedDict())
+    generic, specific = kalman_conic_equation(), kalman_conic_equation(CONIC)
+    assert list(salmon._G2_CACHE) == [None, (U3.names, CONIC.to_text())]
+    assert generic.term_count() == 2832 and specific.term_count() == 138
+    assert kalman_conic_equation(None) is generic
+    assert kalman_conic_equation(parse_polynomial("-x1*x3 + x2^2", U3)) is specific
 
 
 def test_g2_term_count_specialized():
