@@ -212,7 +212,7 @@ def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> li
 
 
 # The largest N whose symbolic det K_d is computed: the binary sextic
-# (N = 7) took 53-63 s on a 2-core Xeon, 50-60 s of it in two kernel calls
+# (N = 7) takes 35-38 s on a 2-core Xeon, 32 s of it in two kernel calls
 # on exact Python ints, and nothing larger has ever finished.
 MAX_DET_N = 7
 
@@ -370,8 +370,28 @@ def _det_case(case: dict, inst: KalmanInstance, A, vanishes: bool) -> dict:
     exactly as `vanishes` says."""
     val = qmat_det(kalman_matrix_at(inst, A))
     case["status"] = "pass" if (val == 0) == vanishes else "fail"
-    case["det_value"] = str(val)
+    case["det_value"] = _decimal(val)
     return case
+
+
+# digits per str() call: below 640, the lowest limit Python can set on the
+# digits of an int that str() converts
+_DECIMAL_CHUNK = 600
+
+
+def _decimal(v: Scalar) -> str:
+    """str(v) at any length, an int or a Fraction: str() itself raises past
+    sys.get_int_max_str_digits() digits."""
+    if type(v) is Fraction:
+        den = v.denominator
+        return _decimal(v.numerator) + ("" if den == 1 else "/" + _decimal(den))
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    base = 10 ** _DECIMAL_CHUNK
+    parts = []
+    while v >= base:
+        v, r = divmod(v, base)
+        parts.append(str(r).zfill(_DECIMAL_CHUNK))
+    return sign + str(v) + "".join(reversed(parts))
 
 
 def _case_assertion(name: str, witness_seed: int, cases: list[dict]) -> dict:

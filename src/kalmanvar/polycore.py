@@ -16,17 +16,16 @@ of products: `sum_of_products` takes `(sign, p, q)` triples, `p * q` is one
 triple, and the cofactor determinant builds each minor from one call.
 Integer sums of 4096 or more term pairs go to one numpy kernel (`_np_mul`).
 Its l1*linf coefficient certificate picks how values are held (int64, two
-int64 limbs, or exact Python ints in object arrays) before either of its two
-reductions runs.  The dense reduction serves int64 and limb sums of 2**16 or
-more pairs whose exponent box, compacted by the exact linear relations all
-their exponents keep (total degree, torus weights), has no more cells than
-the sum has pairs: pairs are scatter-added into an accumulator of at most
-`_DENSE_CELLS` cells, one stripe of the box at a time.  Every other kernel
-sum is sorted by its index in the exponent box, chunk by chunk, and summed
-in segments.  Both give the dict loop's terms, in the same order.  The dict
-loop that accumulates every pair of every triple is the portable path: it
-serves rational coefficients, boxes too wide to pack, small sums and runs
-without numpy.
+int64 limbs, or exact Python ints in object arrays), and it has one
+reduction for all three: the exponent box is compacted by the exact linear
+relations all the sum's exponents keep (total degree, torus weights), and
+pairs are scatter-added into an accumulator of at most `_DENSE_CELLS`
+cells, one stripe of the box at a time.  It gives the dict loop's terms, in
+ascending key order.  A sum whose compacted box has more than
+`_CELLS_PER_PAIR` cells per pair is too sparse for it and declines.  The
+dict loop that accumulates every pair of every triple is the portable path:
+it serves rational coefficients, sparse sums, small sums and runs without
+numpy.
 
 Exact division is recursive: long division in the divisor's most
 significant varying variable, each slice of the quotient an exact division
@@ -351,14 +350,7 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        out = dict(a)
-        for k, c in b.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v if type(v) is int else _demote(v)
-            else:
-                out.pop(k, None)
-        return Polynomial(self.u, out)
+        return Polynomial(self.u, _add_into(dict(a), b))
 
     __radd__ = __add__
 
@@ -618,6 +610,17 @@ def _clean_terms(acc: dict[int, Scalar]) -> dict[int, Scalar]:
     return {k: _demote(c) for k, c in acc.items() if c}
 
 
+def _add_into(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
+    """a += b termwise, in place, dropping the terms that cancel; a."""
+    for k, c in b.items():
+        v = a.get(k, 0) + c
+        if v:
+            a[k] = v if type(v) is int else _demote(v)
+        else:
+            del a[k]
+    return a
+
+
 # exact division ----------------------------------------------------------
 
 
@@ -628,23 +631,25 @@ def _divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
     Long division in x, the most significant variable in which q's terms
     differ.  The remainder's top slice (its coefficient of the highest power
     of x) is divided by q's leading slice, recursively, and that quotient
-    slice times each other slice of q is subtracted by Polynomial
-    arithmetic, so large products take the kernel.  When q's terms differ
-    in at most one variable the heap loop runs instead.
+    slice times each other slice of q is subtracted from the remainder's
+    slices in place; large products take the kernel.  When q's terms differ
+    in at most one variable, or p and q have fewer term pairs than a sum
+    needs to take the kernel (`_KERNEL_MIN_PAIRS`), the heap loop runs
+    instead.
     """
     u = p.u
     m = u._mask
     varying = [i for i, sh in enumerate(u._shifts)
                if len(set(map((m << sh).__and__, q.terms))) > 1]
-    if len(varying) < 2:
+    if len(varying) < 2 or len(p.terms) * len(q.terms) < _KERNEL_MIN_PAIRS:
         return _heap_divide(p, q, box)
     i = varying[0]
     field = m << u._shifts[i]
     s_max = box[i] << u._shifts[i]
     qs = _slices(q, field)
     top = max(qs)
-    lead = qs.pop(top)
-    rest = [(e - top, -s) for e, s in qs.items()]
+    lead = Polynomial(u, qs.pop(top))
+    rest = [(e - top, -Polynomial(u, t)) for e, t in qs.items()]
     rem = _slices(p, field)
     out: dict[int, Scalar] = {}
     while rem:
@@ -652,21 +657,23 @@ def _divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
         s = e - top
         if s < 0 or s > s_max:
             raise NotDivisible("remainder nonzero")
-        h = _divide(rem.pop(e), lead, box)
+        h = _divide(Polynomial(u, rem.pop(e)), lead, box)
         out.update({k + s: c for k, c in h.terms.items()})
         for de, nq in rest:
             t = e + de
-            prod = h * nq
-            if t in rem:
-                prod = rem[t] + prod
-            if prod.terms:
-                rem[t] = prod
+            # the product is new and the slices are the division's own, so
+            # the smaller is added into the larger in place
+            a, b = (h * nq).terms, rem.get(t, {})
+            if len(a) < len(b):
+                a, b = b, a
+            if _add_into(a, b):
+                rem[t] = a
             else:
                 rem.pop(t, None)
     return Polynomial(u, out)
 
 
-def _slices(p: Polynomial, field: int) -> dict[int, Polynomial]:
+def _slices(p: Polynomial, field: int) -> dict[int, dict[int, Scalar]]:
     """p's terms grouped by the value of one exponent field, which each
     slice has cleared."""
     out: dict[int, dict[int, Scalar]] = {}
@@ -676,7 +683,7 @@ def _slices(p: Polynomial, field: int) -> dict[int, Polynomial]:
         if t is None:
             t = out[e] = {}
         t[k ^ e] = c
-    return {e: Polynomial(p.u, t) for e, t in out.items()}
+    return out
 
 
 def _heap_divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
@@ -728,15 +735,19 @@ def _heap_divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomi
 
 # sums of products ----------------------------------------------------------
 
+# the fewest term pairs of a sum that takes the numpy kernel
+_KERNEL_MIN_PAIRS = 4096
+
 
 def sum_of_products(u: Universe,
                     triples: Sequence[tuple[int, Polynomial, Polynomial]]) -> Polynomial:
     """The exact sum of sign*p*q over `(sign, p, q)` triples, sign 1 or -1.
 
     The exponent field is checked on the largest exponent the sum can hold
-    before any work.  With numpy, integer sums of 4096 or more term pairs
-    go to `_np_mul`.  The portable path, which also serves every sum the
-    kernel declines, accumulates every pair of every triple into one dict.
+    before any work.  With numpy, integer sums of `_KERNEL_MIN_PAIRS` or
+    more term pairs go to `_np_mul`.  The portable path, which also serves
+    every sum the kernel declines, accumulates every pair of every triple
+    into one dict.
     """
     top = pairs = 0
     live = []
@@ -747,7 +758,7 @@ def sum_of_products(u: Universe,
             top = max(top, 0, *map(operator.add, p.var_maxes(), q.var_maxes()))
             pairs += len(p.terms) * len(q.terms)
     u.check_product_exponent(top)
-    if _np is not None and pairs >= 4096:
+    if _np is not None and pairs >= _KERNEL_MIN_PAIRS:
         out = _np_mul(live)
         if out is not None:
             return out
@@ -776,11 +787,14 @@ _LIMB = 31
 # and exact Python ints in object arrays
 _CHUNK_I64 = 1 << 21
 _CHUNK_OBJ = 1 << 16
-# int64 sums of at least this many pairs try the dense reduction; below it
-# the sort was as fast
-_DENSE_MIN_PAIRS = 1 << 16
-# cells of the dense reduction's accumulator, per limb
+# cells of the accumulator, per limb
 _DENSE_CELLS = 1 << 20
+# a sum whose compacted box has more cells than this per pair takes the
+# dict loop.  Every cell of a stripe is scanned (~3.4 ns for int64), so on
+# sparse random sums the dict loop wins past ~50-100 cells per pair for
+# int64 values, ~30 for limbs and ~20 for exact ints; 16 is below all three.
+# The products of the determinants have at most 6 cells per pair.
+_CELLS_PER_PAIR = 16
 
 
 def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
@@ -796,24 +810,24 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
     joined as Python ints per output term.  Otherwise the values are exact
     Python ints in object arrays, with a smaller chunk.
 
-    The kernel declines before building any array: on non-integer
-    coefficients, and when the largest box index shifted by the position
-    bits does not fit 63 bits.  The exponent box has dims_i = max over
-    triples of vp_i + vq_i, plus 1, the first variable most significant; no
-    chunk of pairs holds more than the largest single product would take
-    alone.
+    The kernel declines on non-integer coefficients before building any
+    array.  The exponent box has dims_i = max over triples of vp_i + vq_i,
+    plus 1, the first variable most significant.  `_relations` drops one
+    digit of the box per exact linear relation that every pair sum's
+    exponents keep, and the kept digits index the compacted box.  The kernel
+    declines when that box has more than `_CELLS_PER_PAIR` cells per pair,
+    or when its last digit alone is wider than `_DENSE_CELLS`.
 
-    int64 and limb sums of `_DENSE_MIN_PAIRS` or more pairs try
-    `_dense_sum`, which runs when the box compacted by the sum's exponent
-    relations has no more cells than the sum has pairs.  Every other sum is
-    sorted: keys are rebased, on the operands only, to the mixed-radix index
-    over the box, an additive map that keeps the key order.  The outer
-    products are taken whole rows of the smaller operand at a time, rows of
-    different triples sharing a chunk.  Each chunk and the running
-    accumulator are reduced by one in-place sort of (index << b) | position
-    and a segmented sum; accumulator entries carry the all-ones position,
-    which no pair has, and keep their order in the sort.  Either way the
-    terms equal the dict loop's, in ascending key order.
+    Pairs are scatter-added into the compacted box, one stripe at a time.
+    The trailing kept digits whose box fits `_DENSE_CELLS` index a stripe's
+    accumulator, and the leading ones pick the stripe.  Each operand's rows
+    are grouped by their leading index; a stripe takes the group pairs whose
+    leading indices add to it, in outer products of at most `cap` pairs (no
+    more than the largest single product would take alone), scatter-added
+    with `np.add.at` into one array per limb.  The cells it touched are read
+    with `flatnonzero` and zeroed.  Dropped digits are rebuilt from the kept
+    ones by exact division, and the terms equal the dict loop's, in
+    ascending key order.
     """
     ops = []
     bound = 0
@@ -837,179 +851,26 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
     dims = [1] * u.nvars
     for _, p, q in ops:
         dims = [max(d, x + y + 1) for d, x, y in zip(dims, p.var_maxes(), q.var_maxes())]
-    box = math.prod(dims)
     cap = max(min(len(p.terms), max(1, budget // len(q.terms))) * len(q.terms)
               for _, p, q in ops)
-    b = cap.bit_length()
-    if (box - 1).bit_length() + b > 63:
-        return None
-    strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
-    digits = [(i, sh, s, d) for i, (sh, s, d) in enumerate(zip(u._shifts, strides, dims)) if d > 1]
+    digits = [(i, sh, d) for i, (sh, d) in enumerate(zip(u._shifts, dims)) if d > 1]
     kdt = "uint64" if u.bits * u.nvars <= 64 else object
 
     def operand(terms, sign=1):
         """One int64 row of exponents per digit, and the values."""
         keys = _np.fromiter(terms.keys(), dtype=kdt, count=len(terms))
-        exps = _np.array([(keys >> sh) & u._mask for _, sh, _, _ in digits],
+        exps = _np.array([(keys >> sh) & u._mask for _, sh, _ in digits],
                          dtype=_np.int64).reshape(len(digits), len(terms))
         vals = terms.values() if sign > 0 else map(operator.neg, terms.values())
         return exps, _np.fromiter(vals, dtype=vdt, count=len(terms))
 
     operands = [(*operand(p.terms, sign), *operand(q.terms)) for sign, p, q in ops]
-    if vdt is not object and pairs >= _DENSE_MIN_PAIRS:
-        out = _dense_sum(u, operands, digits, kdt, limbs, cap, pairs)
-        if out is not None:
-            return out
-
-    def rebase(exps):
-        idx = _np.zeros(exps.shape[1], dtype=_np.int64)
-        for row, (_, _, s, _) in zip(exps, digits):
-            idx += row * (s << b)
-        return idx
-
-    operands = [(rebase(pe), pv, rebase(qe), qv) for pe, pv, qe, qv in operands]
-    # chunks of (op, first row, end row) segments, cap pairs at most
-    chunks: list[tuple[list, int]] = [([], 0)]
-    for t, (_, p, q) in enumerate(ops):
-        lp, lq = len(p.terms), len(q.terms)
-        r = 0
-        while r < lp:
-            segs, used = chunks[-1]
-            rows = min(lp - r, (cap - used) // lq)
-            if rows == 0:
-                chunks.append(([], 0))
-                continue
-            segs.append((t, r, r + rows))
-            chunks[-1] = (segs, used + rows * lq)
-            r += rows
-    low = (1 << b) - 1
-    acc_k = _np.empty(0, dtype=_np.int64)
-    acc_v = _np.empty((limbs, 0), dtype=vdt)
-    for segs, m in chunks:
-        n = m + len(acc_k)
-        key = _np.empty(n, dtype=_np.int64)
-        val = _np.empty((limbs, n), dtype=vdt)
-        at = 0
-        for t, r0, r1 in segs:
-            pk, pv, qk, qv = operands[t]
-            shape = (r1 - r0, len(qk))
-            end = at + shape[0] * shape[1]
-            _np.add(pk[r0:r1, None], qk, out=key[at:end].reshape(shape))
-            _np.multiply(pv[r0:r1, None], qv, out=val[0, at:end].reshape(shape))
-            at = end
-        key[:m] |= _np.arange(m, dtype=_np.int64)
-        key[m:] = acc_k
-        if limbs == 2:
-            _np.bitwise_and(val[0, :m], (1 << _LIMB) - 1, out=val[1, :m])
-            val[0, :m] >>= _LIMB
-        val[:, m:] = acc_v
-        key.sort()
-        # entries of one index differ only in the position bits
-        head = _np.empty(n, dtype=bool)
-        head[0] = True
-        _np.greater(key[1:] ^ key[:-1], low, out=head[1:])
-        starts = _np.flatnonzero(head)
-        acc_k = key[starts] | low
-        key &= low  # the positions, in sorted order
-        key[key == low] = _np.arange(m, n, dtype=_np.int64)
-        acc_v = _np.add.reduceat(val.take(key, axis=1), starts, axis=1)
-    vals = acc_v[0]
-    if limbs == 2:
-        vals = (vals.astype(object) << _LIMB) + acc_v[1].astype(object)
-    nz = vals != 0
-    idx = acc_k[nz] >> b
-    keys = _np.zeros(len(idx), dtype=kdt)
-    vmax = [0] * u.nvars
-    for digit in digits:
-        _put_digit(keys, vmax, digit, (idx // digit[2]) % digit[3], kdt)
-    out = Polynomial(u, dict(zip(keys.tolist(), vals[nz].tolist())))
-    out._vmax = tuple(vmax)
-    return out
-
-
-def _relations(operands, dims: list[int]) -> list[tuple[int, list[int], int]]:
-    """The exact linear relations w.e = c that every pair sum's exponent
-    vector e satisfies, over the kernel's digits (`dims` their sizes), as
-    (j, w, c): w is an integer vector, nonzero at j, and zero at every
-    other relation's j, so e_j = (c - w.e + w_j*e_j) / w_j exactly.
-
-    w is orthogonal to every exponent difference within an operand and to
-    every difference between the triples' base sums e_p0 + e_q0; that
-    nullspace is the nullspace of their Gram matrix, found by fraction-free
-    Gauss-Jordan elimination.  Columns are taken narrowest first, so the
-    digits left without a pivot, the ones the relations drop, are the
-    widest the relations allow.  When the Gram entries could pass 2**62
-    there are no relations.
-    """
-    k = len(dims)
-    rows = sum(pe.shape[1] + qe.shape[1] for pe, _, qe, _ in operands)
-    if not k or (rows + len(operands)) * max(dims) ** 2 >= _I64_SAFE:
-        return []
-    gram = _np.zeros((k, k), dtype=_np.int64)
-    for pe, _, qe, _ in operands:
-        for e in (pe, qe):
-            delta = e - e[:, :1]
-            gram += delta @ delta.T
-    base = [pe[:, 0] + qe[:, 0] for pe, _, qe, _ in operands]
-    for e in base[1:]:
-        gram += _np.outer(e - base[0], e - base[0])
-    order = sorted(range(k), key=lambda i: (dims[i], i))
-    m = [[int(gram[r, c]) for c in order] for r in range(k)]
-    pivots: list[int] = []
-    for c in range(k):
-        r = len(pivots)
-        piv = next((i for i in range(r, k) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(k):
-            if i != r and m[i][c]:
-                a, f = m[r][c], m[i][c]
-                row = [a * x - f * y for x, y in zip(m[i], m[r])]
-                g = math.gcd(*row) or 1
-                m[i] = [x // g for x in row]
-        pivots.append(c)
-    out = []
-    for c in range(k):
-        if c in pivots:
-            continue
-        lcm = math.lcm(*(m[r][p] for r, p in enumerate(pivots)))
-        w = [0] * k
-        w[order[c]] = lcm
-        for r, p in enumerate(pivots):
-            w[order[p]] = -m[r][c] * lcm // m[r][p]
-        g = math.gcd(*w)
-        w = [x // g for x in w]
-        # keeps w.e within int64 for every e in the box
-        if max(map(abs, w)) * sum(dims) < _I64_SAFE:
-            out.append((order[c], w, sum(x * int(e) for x, e in zip(w, base[0]))))
-    return out
-
-
-def _dense_sum(u: Universe, operands, digits, kdt, limbs: int, cap: int, pairs: int):
-    """`_np_mul`'s dense reduction of its rebased `operands` (exponent rows
-    per digit, values), or None when the compacted box has more cells than
-    the sum has pairs or its last digit is wider than `_DENSE_CELLS`.
-    Once it runs it empties `operands`.
-
-    `_relations` drops one digit per relation; the kept digits, first
-    variable most significant, index a box of at most `pairs` cells.  The
-    trailing kept digits whose box fits `_DENSE_CELLS` form one stripe's
-    accumulator, and the leading ones pick the stripe.  Each operand's rows
-    are grouped by their leading index; a stripe takes the group pairs
-    whose leading indices add to it, in outer products of at most `cap`
-    pairs (the sort's chunk), scatter-added with `np.add.at` into one int64
-    array per limb.  The cells it touched are read with `flatnonzero` and zeroed.
-    Dropped digits are rebuilt from the kept ones by exact division, and
-    the terms come out in ascending key order, as the sort leaves them.
-    """
-    dims = [d for *_, d in digits]
-    rels = _relations(operands, dims)
+    rels = _relations(operands, [d for *_, d in digits])
     dropped = {j for j, _, _ in rels}
-    kept = [i for i in range(len(dims)) if i not in dropped]
-    kdims = [dims[i] for i in kept]
+    kept = [i for i in range(len(digits)) if i not in dropped]
+    kdims = [digits[i][2] for i in kept]
     cells = math.prod(kdims)
-    if cells > pairs:
+    if cells > _CELLS_PER_PAIR * pairs:
         return None
     lead, inner = len(kept), 1
     while lead and inner * kdims[lead - 1] <= _DENSE_CELLS:
@@ -1037,12 +898,11 @@ def _dense_sum(u: Universe, operands, digits, kdt, limbs: int, cap: int, pairs: 
         groups.append((heads.tolist(), [*starts.tolist(), len(pl)],
                        _np.searchsorted(ql, reach).tolist(), int(ql[0]), int(ql[-1]),
                        pr, pv, qr, qv))
-    # the exponent rows are spent: freeing them keeps the peak near the sort's
-    operands.clear()
-    del pe, qe, e
+    # the exponent rows are spent: freeing them lowers the peak
+    del operands, pe, qe, e
     key = _np.empty(cap, dtype=_np.int64)
-    val = _np.empty(cap, dtype=_np.int64)
-    acc = _np.zeros((limbs, inner), dtype=_np.int64)
+    val = _np.empty(cap, dtype=vdt)
+    acc = _np.zeros((limbs, inner), dtype=vdt)
     low = (1 << _LIMB) - 1
 
     def scatter(n):
@@ -1107,9 +967,68 @@ def _dense_sum(u: Universe, operands, digits, kdt, limbs: int, cap: int, pairs: 
     return out
 
 
+def _relations(operands, dims: list[int]) -> list[tuple[int, list[int], int]]:
+    """The exact linear relations w.e = c that every pair sum's exponent
+    vector e satisfies, over the kernel's digits (`dims` their sizes), as
+    (j, w, c): w is an integer vector, nonzero at j, and zero at every
+    other relation's j, so e_j = (c - w.e + w_j*e_j) / w_j exactly.
+
+    w is orthogonal to every exponent difference within an operand and to
+    every difference between the triples' base sums e_p0 + e_q0; that
+    nullspace is the nullspace of their Gram matrix, found by fraction-free
+    Gauss-Jordan elimination.  Columns are taken narrowest first, so the
+    digits left without a pivot, the ones the relations drop, are the
+    widest the relations allow.  When the Gram entries could pass 2**62
+    there are no relations.
+    """
+    k = len(dims)
+    rows = sum(pe.shape[1] + qe.shape[1] for pe, _, qe, _ in operands)
+    if not k or (rows + len(operands)) * max(dims) ** 2 >= _I64_SAFE:
+        return []
+    gram = _np.zeros((k, k), dtype=_np.int64)
+    for pe, _, qe, _ in operands:
+        for e in (pe, qe):
+            delta = e - e[:, :1]
+            gram += delta @ delta.T
+    base = [pe[:, 0] + qe[:, 0] for pe, _, qe, _ in operands]
+    for e in base[1:]:
+        gram += _np.outer(e - base[0], e - base[0])
+    order = sorted(range(k), key=lambda i: (dims[i], i))
+    m = [[int(gram[r, c]) for c in order] for r in range(k)]
+    pivots: list[int] = []
+    for c in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(k):
+            if i != r and m[i][c]:
+                a, f = m[r][c], m[i][c]
+                row = [a * x - f * y for x, y in zip(m[i], m[r])]
+                g = math.gcd(*row) or 1
+                m[i] = [x // g for x in row]
+        pivots.append(c)
+    out = []
+    for c in range(k):
+        if c in pivots:
+            continue
+        lcm = math.lcm(*(m[r][p] for r, p in enumerate(pivots)))
+        w = [0] * k
+        w[order[c]] = lcm
+        for r, p in enumerate(pivots):
+            w[order[p]] = -m[r][c] * lcm // m[r][p]
+        g = math.gcd(*w)
+        w = [x // g for x in w]
+        # keeps w.e within int64 for every e in the box
+        if max(map(abs, w)) * sum(dims) < _I64_SAFE:
+            out.append((order[c], w, sum(x * int(e) for x, e in zip(w, base[0]))))
+    return out
+
+
 def _put_digit(keys, vmax: list[int], digit, e, kdt) -> None:
     """Or one digit's exponents `e` into `keys`, and note their maximum."""
-    i, sh, _, _ = digit
+    i, sh, _ = digit
     if len(e):
         vmax[i] = int(e.max())
     keys |= e.astype(kdt) << sh

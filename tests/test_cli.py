@@ -390,6 +390,24 @@ def test_audit_byte_identical_for_fixed_seed(capsys):
     assert rc1 == rc2 == EXIT_OK and out1 == out2
 
 
+def test_audit_prints_det_values_past_the_int_digit_limit(capsys):
+    # det_value reaches about 1200 digits; 640 is the lowest limit Python sets
+    argv = ["audit", "--f", "x1^3+x2^3+x3^3+x4^3", "--trials", "1", "--format", "json"]
+    rc, unlimited, _ = run(capsys, argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc_limited, out, _ = run(capsys, argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == rc_limited == EXIT_OK
+    values = [c["det_value"] for a in json.loads(out)["assertions"]
+              for c in a["certificate"].get("cases", [])]
+    assert max(len(part) for v in values for part in v.split("/")) > 640
+    # the same text as str() of the determinant, where str() has no limit
+    assert out == unlimited
+
+
 def test_audit_failure_exit_code(capsys, monkeypatch):
     fake = {
         "n": 2, "d": 2, "f": "x1^2 - x2^2", "seed": 0, "trials": 1,

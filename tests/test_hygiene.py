@@ -1,5 +1,6 @@
 """Every name a module imports is read in that module, and every private
-definition in the package is used somewhere in it."""
+definition and module-level constant in the package is used somewhere in
+it."""
 
 from __future__ import annotations
 
@@ -46,27 +47,40 @@ def _references(node: ast.AST) -> collections.Counter:
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute))
 
 
+def _defined_names(node: ast.AST) -> list[str]:
+    """The names a function, class or plain assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def unreferenced_private_definitions(sources: list[str]) -> list[str]:
-    """Private top-level functions and classes, and private methods of
-    top-level classes, that nothing outside their own body refers to."""
+    """Private top-level functions, classes and module-level constants, and
+    private methods of top-level classes, that nothing outside their own
+    definition refers to."""
     refs: collections.Counter = collections.Counter()
     defs = []
     for tree in map(ast.parse, sources):
         refs += _references(tree)
         for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            defs += [d for d in [node, *members]
-                     if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                     and d.name.startswith("_") and not d.name.endswith("__")]
-    return sorted(d.name for d in defs if refs[d.name] <= _references(d)[d.name])
+            # a class's methods, not its attributes
+            members = [d for d in node.body if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       ] if isinstance(node, ast.ClassDef) else []
+            defs += [(name, d) for d in [node, *members] for name in _defined_names(d)
+                     if name.startswith("_") and not name.endswith("__")]
+    return sorted(name for name, d in defs if refs[name] <= _references(d)[name])
 
 
 def test_unreferenced_private_definitions_detected():
     srcs = ["def _used(): pass\ndef _unused(): pass\ndef _loop(): return _loop()\n"
             "class C:\n    def _m(self): pass\n    def _n(self): pass\n"
-            "    def __init__(self): self._n()\n",
-            "class _K: pass\n_used(), _K\n"]
-    assert unreferenced_private_definitions(srcs) == ["_loop", "_m", "_unused"]
+            "    def __init__(self): self._n()\n    _attr = 1\n",
+            "class _K: pass\n_used(), _K\n",
+            "_READ = 1\n_UNREAD = 2\n_ANNOTATED: int = 3\n__all__ = []\nprint(_READ)\n"]
+    assert unreferenced_private_definitions(srcs) == [
+        "_ANNOTATED", "_UNREAD", "_loop", "_m", "_unused"]
 
 
 def test_every_private_definition_is_referenced():

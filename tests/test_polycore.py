@@ -8,6 +8,7 @@ import random
 import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -374,7 +375,12 @@ def test_division_routes_by_the_divisor_variables(monkeypatch):
     assert (g * h).exact_div(g) == h
     assert divisors == [g]
     divisors.clear()
-    g = P("x1^2*x2 - x2*x3 + 3*x3^2 + x1")  # three variables: recursion first
+    g = P("x1^2*x2 - x2*x3 + 3*x3^2 + x1")
+    # three variables, but 11 x 4 term pairs, too few for the kernel: the heap loop
+    assert (g * h).exact_div(g) == h
+    assert divisors == [g]
+    divisors.clear()
+    h = P("x1 + x2 + x3 - 1/2") ** 14  # 1061 x 4 term pairs: recursion first
     assert (g * h).exact_div(g) == h
     assert divisors and g not in divisors
     assert all(_varying(q) <= 1 for q in divisors)
@@ -457,6 +463,30 @@ def _norms(triples) -> tuple[int, int]:
     return cert, largest
 
 
+def _spy_kernel(mp) -> list:
+    """Patch the kernel to record, per call that reaches `_relations`, how
+    many relations it found, how many cells the box they compact has, and
+    whether the kernel ran (False: it declined)."""
+    seen = []
+    relations, kernel = polycore._relations, polycore._np_mul
+
+    def spy_relations(operands, dims):
+        out = relations(operands, dims)
+        dropped = {j for j, _, _ in out}
+        cells = math.prod(d for i, d in enumerate(dims) if i not in dropped)
+        seen.append(SimpleNamespace(relations=len(out), cells=cells, ran=False))
+        return out
+
+    def spy_kernel(triples):
+        out = kernel(triples)
+        seen[-1].ran = out is not None
+        return out
+
+    mp.setattr(polycore, "_relations", spy_relations)
+    mp.setattr(polycore, "_np_mul", spy_kernel)
+    return seen
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_COEFFS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -477,11 +507,19 @@ def test_np_mul_matches_dict_loop(kind, data):
         assert (largest < 2**62) == (kind != "object")
     pairs = sum(len(p.terms) * len(q.terms) for _, p, q in triples)
     chunk = data.draw(st.integers(min_value=1, max_value=pairs))
+    # a bound of 1 also declines sums that the module's bound takes
+    bound = data.draw(st.sampled_from([1, polycore._CELLS_PER_PAIR]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polycore, "_CHUNK_I64", chunk)
         mp.setattr(polycore, "_CHUNK_OBJ", chunk)
+        mp.setattr(polycore, "_CELLS_PER_PAIR", bound)
+        seen = _spy_kernel(mp)
         out = polycore._np_mul(triples)
-    assert out is not None
+    # the kernel runs exactly when the compacted box is within the bound
+    [call] = seen
+    assert call.ran == (call.cells <= bound * pairs)
+    if not call.ran:
+        return
     assert out.terms == _dict_loop_sum(triples).terms
     assert all(type(c) is int for c in out.terms.values())
     assert out.var_maxes() == Polynomial(U3, out.terms).var_maxes()
@@ -489,7 +527,9 @@ def test_np_mul_matches_dict_loop(kind, data):
 
 @pytest.mark.parametrize("u", [x_universe(9), a_universe(4)], ids=["72-bit", "128-bit"])
 def test_np_mul_keys_wider_than_64_bits(u):
-    base = parse_polynomial(" + ".join(u.names[::2]) + " + 1", u) ** 3
+    # every fourth variable, and the last one in q, span the keys' first and
+    # last fields, and keep the box within the kernel's bound
+    base = parse_polynomial(" + ".join(u.names[::4]) + " + 1", u) ** 3
     p, q = base * 3 - 1, base + parse_polynomial(u.names[-1], u)
     out = polycore._np_mul([(1, p, q)])
     assert out is not None and out.terms == _dict_loop_product(p, q).terms
@@ -524,12 +564,24 @@ class _NoNumpy:
         raise AssertionError(f"numpy.{name} used")
 
 
+class _NoPairArrays:
+    """numpy, less the calls that build or reduce arrays of term pairs."""
+
+    def __init__(self):
+        self.numpy = polycore._np
+
+    def __getattr__(self, name):
+        if name in ("empty", "add", "multiply"):
+            raise AssertionError(f"numpy.{name} used")
+        return getattr(self.numpy, name)
+
+
 def _declined_operands(kind: str) -> tuple[Polynomial, Polynomial]:
     base = P("x1 + x2 + x3 + 1") ** 6  # 84 terms: 7056 pairs, past the 4096 threshold
     if kind == "fraction":
         return base.scale(Fraction(1, 3)), base
-    # the same terms with every exponent times 2**14: the box needs about 53
-    # bits and the positions 13
+    # the same terms with every exponent times 2**14: about 2**53 cells for
+    # 7056 pairs, and no relation to compact them
     wide = Universe(("x1", "x2", "x3"), bits=21)
     spread = Polynomial.from_exponents(
         wide, {tuple(e << 14 for e in U3.unpack(k)): c for k, c in base.terms.items()}
@@ -539,9 +591,11 @@ def _declined_operands(kind: str) -> tuple[Polynomial, Polynomial]:
 
 @pytest.mark.parametrize("kind", ["fraction", "wide box"])
 def test_np_mul_declines_before_any_array(kind):
+    """Fractions decline before any array.  A wide box declines once its
+    relations are known, before any array of pairs."""
     p, q = _declined_operands(kind)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polycore, "_np", _NoNumpy())
+        mp.setattr(polycore, "_np", _NoNumpy() if kind == "fraction" else _NoPairArrays())
         assert polycore._np_mul([(1, p, q)]) is None
         # one declining triple declines the whole sum
         assert polycore._np_mul([(1, q, q), (-1, p, q)]) is None
@@ -595,66 +649,51 @@ def _dense_triples(kind: str, form: str, rng: random.Random):
     return [(rng.choice([1, -1]), operand(x), operand(y)) for x, y in ((a, b), (b, a), (a, b))]
 
 
-def _spy_dense(mp) -> list:
-    """Patch the dense reduction to record, per call, the relations found and
-    whether it ran (False: the sort ran)."""
-    seen = []
-    relations, dense = polycore._relations, polycore._dense_sum
-
-    def spy_relations(*args):
-        out = relations(*args)
-        seen.append([len(out), False])
-        return out
-
-    def spy_dense(*args):
-        out = dense(*args)
-        seen[-1][1] = out is not None
-        return out
-
-    mp.setattr(polycore, "_relations", spy_relations)
-    mp.setattr(polycore, "_dense_sum", spy_dense)
-    return seen
-
-
 @pytest.mark.parametrize("chunk", [64, 1 << 21])
 @pytest.mark.parametrize("cells", [4, 7, 49, 1 << 20])
-@pytest.mark.parametrize("form", ["int64", "limbs"])
+@pytest.mark.parametrize("form", ["int64", "limbs", "object"])
 @pytest.mark.parametrize("kind", [*DENSE_RELATIONS, "unequal"])
 def test_dense_reduction_matches_dict_loop(kind, form, cells, chunk):
     rng = random.Random(f"{kind}:{form}:{cells}:{chunk}")
     triples = _dense_triples(kind, form, rng)
-    cert, _ = _norms(triples)
+    cert, largest = _norms(triples)
     assert (cert < 2**62) == (form == "int64")
+    assert (largest < 2**62) == (form != "object")
     expected = len(DENSE_RELATIONS.get(kind, []))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polycore, "_DENSE_MIN_PAIRS", 0)
         mp.setattr(polycore, "_DENSE_CELLS", cells)
         mp.setattr(polycore, "_CHUNK_I64", chunk)
-        seen = _spy_dense(mp)
+        mp.setattr(polycore, "_CHUNK_OBJ", chunk)
+        seen = _spy_kernel(mp)
         out = polycore._np_mul(triples)
         # the negated sum cancels every term
         zero = polycore._np_mul(triples + [(-s, p, q) for s, p, q in triples])
     # the last digit has 7 values: it fits a stripe of 7 cells, not one of 4
-    dense = kind != "unequal" and cells >= 7
-    assert seen == [[expected, dense], [expected, dense]]
+    runs = cells >= 7
+    assert [(c.relations, c.ran) for c in seen] == [(expected, runs)] * 2
+    if not runs:
+        return
     assert out.terms == _dict_loop_sum(triples).terms
-    assert list(out.terms) == sorted(out.terms)  # the sort's order
+    assert list(out.terms) == sorted(out.terms)
     assert all(type(c) is int for c in out.terms.values())
     assert out.var_maxes() == Polynomial(U4, out.terms).var_maxes()
     assert zero.terms == {} and zero.var_maxes() == (0,) * 4
 
 
-def test_kernel_takes_dense_on_a_ladder_like_sum_and_sort_on_a_sparse_one():
+def test_kernel_takes_a_ladder_like_sum_and_declines_a_sparse_one():
     ladder = P("x1 + 2*x2 - 3*x3 + x4", U4)
     p, q = ladder ** 10, ladder ** 12 - P("x2^12", U4)  # 286 x 455 pairs, homogeneous
     rng = random.Random(3)
     sparse = [Polynomial.from_exponents(U4, {tuple(rng.randrange(60) for _ in range(4)): 1 + k
                                              for k in range(300)}) for _ in range(2)]
     with pytest.MonkeyPatch.context() as mp:
-        seen = _spy_dense(mp)
+        seen = _spy_kernel(mp)
         dense_out, sparse_out = p * q, sparse[0] * sparse[1]
-    assert seen == [[1, True], [0, False]]
+    assert [(c.relations, c.ran) for c in seen] == [(1, True), (0, False)]
     assert dense_out == _dict_loop_product(p, q)
+    # the sparse box is past the bound, and the dict loop gives the product
+    pairs = len(sparse[0].terms) * len(sparse[1].terms)
+    assert seen[1].cells > polycore._CELLS_PER_PAIR * pairs
     assert sparse_out == _dict_loop_product(*sparse)
 
 
@@ -663,9 +702,9 @@ def test_dense_reduction_with_keys_wider_than_64_bits():
     base = parse_polynomial("a11 + a23 - 3*a44 + 2*a12", u)
     p, q = base ** 10, base ** 11 - parse_polynomial("a44^11", u)  # 286 x 364 pairs
     with pytest.MonkeyPatch.context() as mp:
-        seen = _spy_dense(mp)
+        seen = _spy_kernel(mp)
         out = p * q
-    assert seen == [[1, True]]
+    assert [(c.relations, c.ran) for c in seen] == [(1, True)]
     assert out.terms == _dict_loop_product(p, q).terms
     assert list(out.terms) == sorted(out.terms)
     assert out.var_maxes() == Polynomial(u, out.terms).var_maxes()
@@ -679,9 +718,9 @@ def test_dense_accumulator_is_bounded_by_the_cell_cap():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polycore, "_DENSE_CELLS", 1 << 12)
         mp.setattr(polycore, "_CHUNK_I64", 1 << 12)
-        seen = _spy_dense(mp)
+        seen = _spy_kernel(mp)
         peak = _kernel_peak([(1, p, q), (-1, q, p)])
-    assert seen == [[0, True]]
+    assert [(c.relations, c.ran) for c in seen] == [(0, True)]
     assert peak < 8 * 32**4 // 8
 
 
