@@ -370,15 +370,13 @@ def _t0_pow(k: int) -> TruncatedClass:
     return TruncatedClass.h(3, 3, 0, k)
 
 
-def fixture_Wtilde3(n: int = 3) -> TruncatedClass:
+def fixture_Wtilde3() -> TruncatedClass:
     """The (n, s) = (3, 3) distinct-eigenvector class, expanded from its
     elementary-symmetric shorthand (e_l in h_1, h_2, h_3):
 
       6 e_3^2 + 6 e_2 e_3 t_0 + 2(e_2^2 + 2 e_1 e_3) t_0^2
       + 3(e_1 e_2 + e_3) t_0^3 + (e_1^2 + 3 e_2) t_0^4 + 2 e_1 t_0^5 + t_0^6
     """
-    if n != 3:
-        raise ValueError("this class is only available for n = 3")
     e1, e2, e3 = _e3(1), _e3(2), _e3(3)
     return (e3 * e3 * 6
             + e2 * e3 * 6 * _t0_pow(1)

@@ -117,7 +117,7 @@ def _cmd_sympower(args: argparse.Namespace) -> str:
 
 def _cmd_kalman_matrix(args: argparse.Namespace) -> str:
     f = _parse_form(args)
-    inst = KalmanInstance.from_form(f, args.n, args.d)
+    inst = KalmanInstance.from_form(f)
     check_kalman_matrix_size(inst)
     K = kalman_matrix(inst, PolyMatrix.generic(inst.n))
     if args.format == "json":
@@ -134,7 +134,7 @@ def _cmd_kalman_matrix(args: argparse.Namespace) -> str:
 
 def _cmd_kalman_det(args: argparse.Namespace) -> str:
     f = _parse_form(args)
-    det = kalman_det(f, args.n, args.d)
+    det = kalman_det(f)
     if args.format == "json":
         return _json({
             "n": f.u.nvars,
@@ -170,7 +170,7 @@ def _cmd_salmon(args: argparse.Namespace) -> str:
 
 def _cmd_audit(args: argparse.Namespace) -> str:
     f = _parse_form(args)
-    report = factorization_audit(f, args.n, args.d, trials=args.trials, seed=args.seed)
+    report = factorization_audit(f, trials=args.trials, seed=args.seed)
     if args.format == "json":
         out = _json(report)
     else:
@@ -254,7 +254,7 @@ def _cmd_witness(args: argparse.Namespace) -> str:
     f = _parse_form(args)
     if args.mu:
         mu = _int_list(args.mu, "--mu")
-        w = mu_witness(f, mu, f.u.nvars, seed=args.seed)
+        w = mu_witness(f, mu, seed=args.seed)
         return _report(args, {"f": f.to_text(), "mu": mu, "seed": args.seed,
                               "A": [[str(x) for x in row] for row in w.A],
                               "eigenvalues": [str(x) for x in w.eigenvalues],
@@ -323,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("sympower", _cmd_sympower, "symbolic symmetric power", ["n", "d"],
             required=("n", "d"))
-    command("kalman-matrix", _cmd_kalman_matrix, "stacked block matrix", ["n", "d", "f"],
+    command("kalman-matrix", _cmd_kalman_matrix, "stacked block matrix", ["n", "f"],
             required=("f",))
-    command("kalman-det", _cmd_kalman_det, "its determinant (p = 1)", ["n", "d", "f"],
+    command("kalman-det", _cmd_kalman_det, "its determinant (p = 1)", ["n", "f"],
             required=("f",))
     command("salmon", _cmd_salmon, "ternary-conic resultant pipeline", ["conic"])
-    command("audit", _cmd_audit, "factorization audit", ["n", "d", "f", "seed", "trials"],
+    command("audit", _cmd_audit, "factorization audit", ["n", "f", "seed", "trials"],
             required=("f",))
     command("degrees", _cmd_degrees, "enumerative degree formulas", ["n", "d", "table"],
             formats=("text", "json", "csv"))

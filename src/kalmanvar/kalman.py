@@ -84,19 +84,12 @@ class LineRestrictionZero(ArithmeticError):
     randomness."""
 
 
-def _infer_nd(f: Polynomial, n: int | None, d: int | None) -> tuple[int, int]:
-    hd = f.is_homogeneous()
-    if hd is None or hd < 1:
+def _form_nd(f: Polynomial) -> tuple[int, int]:
+    """(n, d) of a nonzero homogeneous form f of positive degree; else ValueError."""
+    d = f.is_homogeneous()
+    if d is None or d < 1:
         raise ValueError("a nonzero homogeneous form of positive degree is required")
-    if d is None:
-        d = hd
-    elif d != hd:
-        raise ValueError(f"form has degree {hd}, not the requested d={d}")
-    if n is None:
-        n = f.u.nvars
-    elif n != f.u.nvars:
-        raise ValueError(f"form lives in {f.u.nvars} variables, not n={n}")
-    return n, d
+    return f.u.nvars, d
 
 
 @dataclass(frozen=True)
@@ -128,11 +121,9 @@ class KalmanInstance:
         return basis_size(self.n, self.d)
 
     @classmethod
-    def from_form(cls, f: Polynomial, n: int | None = None,
-                  d: int | None = None) -> "KalmanInstance":
-        """Single-form (p = 1) instance; n and d are inferred from f when
-        omitted and cross-checked when given."""
-        n, d = _infer_nd(f, n, d)
+    def from_form(cls, f: Polynomial) -> "KalmanInstance":
+        """Single-form (p = 1) instance; n and d are read from f (`_form_nd`)."""
+        n, d = _form_nd(f)
         return cls(n=n, d=d, C=(tuple(coeff_row(f, n, d)),))
 
     @classmethod
@@ -222,7 +213,7 @@ _DET_CACHE_SIZE = 8
 _DET_CACHE: OrderedDict[tuple, Polynomial] = OrderedDict()
 
 
-def kalman_det(f: Polynomial, n: int | None = None, d: int | None = None) -> Polynomial:
+def kalman_det(f: Polynomial) -> Polynomial:
     """Determinant of the square (single-form) Kalman matrix at the generic
     matrix of indeterminates a11..ann, canonically normalized (integer
     coefficients, positive leading coefficient).
@@ -231,17 +222,17 @@ def kalman_det(f: Polynomial, n: int | None = None, d: int | None = None) -> Pol
     cancellation occurs (generic full-support forms).  Raises
     `ProblemTooLarge`, before any work, when N exceeds MAX_DET_N.
     """
-    n, d = _infer_nd(f, n, d)
+    n, d = _form_nd(f)
     N = basis_size(n, d)
     if N > MAX_DET_N:
         raise ProblemTooLarge(
             f"det K_{d} of a form in {n} variables has size N = {N}; "
             f"the limit is MAX_DET_N = {MAX_DET_N}")
     fc = f.canonical()
-    key = (fc.u.names, fc.to_text(), n, d)
+    key = (fc.u.names, fc.to_text())
 
     def det():
-        K = kalman_matrix(KalmanInstance.from_form(fc, n, d), PolyMatrix.generic(n))
+        K = kalman_matrix(KalmanInstance.from_form(fc), PolyMatrix.generic(n))
         return K.det().canonical()
 
     return lru(_DET_CACHE, _DET_CACHE_SIZE, key, det)
@@ -316,8 +307,9 @@ def factor_order_along_line(target: str, A0: Sequence[Sequence[Scalar]],
     if target == "det":
         if f is None:
             raise ValueError('target "det" requires the form f')
-        inst = KalmanInstance.from_form(f, len(A0), d)
-        restricted = kalman_matrix(inst, At).det()
+        if d is not None:
+            raise ValueError('target "det" takes its degree from f, not d')
+        restricted = kalman_matrix(KalmanInstance.from_form(f), At).det()
     elif target == "delta_d":
         if d is None:
             raise ValueError('target "delta_d" requires d')
@@ -400,10 +392,38 @@ def _case_assertion(name: str, witness_seed: int, cases: list[dict]) -> dict:
             "witness_seed": witness_seed, "certificate": {"cases": cases}}
 
 
-def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = None,
-                        *, trials: int = 20, seed: int = 0) -> dict:
+# The largest audit, as a bound on its work: each of its len(partitions) +
+# 2*trials determinants is a Bareiss elimination of an N x N Kalman matrix
+# at a rational matrix, whose entries grow with d and N.  On a 2-core Xeon
+# a unit took 0.7-1.6 ns: N = 20, d = 3 at 20 trials (1.2e9 units, the
+# largest benchmark audit) took 0.9 s, and N = 35, d = 4 at 1 trial (5.9e9)
+# 5.0 s.
+MAX_AUDIT_WORK = 10 ** 10
+
+
+def _trial_assertion(name: str, inst: KalmanInstance, seed: int, base: int,
+                     trials: int, draw, vanishes: bool) -> dict:
+    """An assertion over `trials` seeded draws (lams, V) = draw(rng), each
+    a case of det K at A = V diag(lams) V^-1 that passes when the
+    determinant vanishes exactly as `vanishes` says."""
+    cases = []
+    for j in range(trials):
+        ws = derive_seed(seed, base + j)
+        case = {"trial": j, "witness_seed": ws}
+        try:
+            lams, V = draw(random.Random(ws))
+        except RetryExhausted as e:  # pragma: no cover - ample retries
+            cases.append(dict(case, status="error", reason=str(e)))
+            continue
+        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
+        case["eigenvalues"] = [str(l) for l in lams]
+        cases.append(_det_case(case, inst, A, vanishes))
+    return _case_assertion(name, derive_seed(seed, base), cases)
+
+
+def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> dict:
     """Randomized-but-seeded audit of the factorization structure of the
-    Kalman determinant of f.  Four assertions:
+    Kalman determinant of the form f, n and d read from f.  Four assertions:
 
       degree_budget            deg det = deg sqrt(saturated discriminant)
                                + sum of the per-partition factor degrees
@@ -419,10 +439,18 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
     All evaluations are numeric-exact (the symbolic determinant is never
     expanded).  Witness construction failures are reported per case, not
     fatal.  The report is deterministic for a fixed seed and JSON-safe.
+    Raises `ProblemTooLarge`, before any work, when (partitions + 2*trials)
+    * N^5 * d^2 exceeds MAX_AUDIT_WORK.
     """
-    n, d = _infer_nd(f, n, d)
-    inst = KalmanInstance.from_form(f, n, d)
+    inst = KalmanInstance.from_form(f)
+    n, d, N = inst.n, inst.d, inst.N
     mus = partitions(d, n)
+    work = (len(mus) + 2 * trials) * N ** 5 * d ** 2
+    if work > MAX_AUDIT_WORK:
+        raise ProblemTooLarge(
+            f"an audit of {trials} trials of a degree-{d} form in {n} variables "
+            f"(N = {N}) may take {work} units of work; the limit is "
+            f"MAX_AUDIT_WORK = {MAX_AUDIT_WORK}")
     assertions: list[dict] = []
 
     # degree budget
@@ -443,7 +471,7 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
         ws = derive_seed(seed, 1_000_000 + k)
         case: dict = {"mu": list(mu.parts), "witness_seed": ws}
         try:
-            w = mu_witness(f, mu, n, seed=ws)
+            w = mu_witness(f, mu, seed=ws)
         except (UnsupportedPartition, NoStrategy, RetryExhausted) as e:
             cases.append(dict(case, status="error", reason=str(e)))
             continue
@@ -461,39 +489,16 @@ def factorization_audit(f: Polynomial, n: int | None = None, d: int | None = Non
                                     "constant for d = 1; nothing to check"},
         })
     else:
-        cases = []
-        for j in range(trials):
-            ws = derive_seed(seed, 2_000_000 + j)
-            rng = random.Random(ws)
-            case = {"trial": j, "witness_seed": ws}
-            try:
-                lams = collision_eigenvalues(rng, n, d)
-                V = random_invertible(rng, n)
-            except RetryExhausted as e:  # pragma: no cover - ample retries
-                cases.append(dict(case, status="error", reason=str(e)))
-                continue
-            A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
-            case["eigenvalues"] = [str(l) for l in lams]
-            cases.append(_det_case(case, inst, A, vanishes=True))
-        assertions.append(_case_assertion("collision_vanishing",
-                                          derive_seed(seed, 2_000_000), cases))
+        assertions.append(_trial_assertion(
+            "collision_vanishing", inst, seed, 2_000_000, trials,
+            lambda rng: (collision_eigenvalues(rng, n, d), random_invertible(rng, n)),
+            vanishes=True))
 
     # nonvanishing at generic diagonalizable matrices away from all factors
     polarizations = [(mu.s, polarize(f, mu)) for mu in mus]
-    cases = []
-    for j in range(trials):
-        ws = derive_seed(seed, 3_000_000 + j)
-        case = {"trial": j, "witness_seed": ws}
-        try:
-            lams, V = _generic_draw(random.Random(ws), n, d, polarizations)
-        except RetryExhausted as e:  # pragma: no cover - ample retries
-            cases.append(dict(case, status="error", reason=str(e)))
-            continue
-        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
-        case["eigenvalues"] = [str(l) for l in lams]
-        cases.append(_det_case(case, inst, A, vanishes=False))
-    assertions.append(_case_assertion("generic_nonvanishing",
-                                      derive_seed(seed, 3_000_000), cases))
+    assertions.append(_trial_assertion(
+        "generic_nonvanishing", inst, seed, 3_000_000, trials,
+        lambda rng: _generic_draw(rng, n, d, polarizations), vanishes=False))
 
     return {
         "n": n,

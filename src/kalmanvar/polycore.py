@@ -417,7 +417,7 @@ class Polynomial:
             return Polynomial(self.u, {})
         # deg_x(q*h) = deg_x(q) + deg_x(h) in every variable x
         box = tuple(a - b for a, b in zip(self.var_maxes(), q.var_maxes()))
-        if min(box, default=0) < 0:
+        if min(box, default=0) < 0 or _leads_leave_box(self, q, box):
             raise NotDivisible("remainder nonzero")
         return _divide(self, q, box)
 
@@ -622,6 +622,42 @@ def _add_into(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
 
 
 # exact division ----------------------------------------------------------
+
+
+def _leads_leave_box(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> bool:
+    """True when no h with every exponent in [0, box] has q*h = p, as the
+    lead terms of 2n orders show.
+
+    Order (i, s), for each variable i and sign s, compares exponent vectors
+    by s*e_i first, then by -s*e_j for every other j in universe order.  It
+    is total and compatible with addition, so lead(q*h) = lead(q) + lead(h)
+    (Ostrowski): p is not divisible when lead(p) - lead(q) leaves the box.
+    The lead under (i, 1) is the smallest key of those with the largest
+    e_i, and under (i, -1) the largest key of those with the smallest e_i:
+    in sorted keys, the first and the last such key.  Divisions large
+    enough for the kernel (`_KERNEL_MIN_PAIRS`) read the keys with numpy.
+    """
+    u = p.u
+    if _np is not None and len(p.terms) * len(q.terms) >= _KERNEL_MIN_PAIRS:
+        kdt = "uint64" if u.bits * u.nvars <= 64 else object
+
+        def leads(terms):
+            keys = _np.fromiter(terms, dtype=kdt, count=len(terms))
+            for sh in u._shifts:
+                e = (keys >> sh) & u._mask
+                yield int(keys[e == e.max()].min())
+                yield int(keys[e == e.min()].max())
+    else:
+        def leads(terms):
+            keys = sorted(terms)
+            for sh in u._shifts:
+                e = list(map((u._mask << sh).__and__, keys))
+                yield keys[e.index(max(e))]
+                yield keys[~e[::-1].index(min(e))]
+    for kp, kq in zip(leads(p.terms), leads(q.terms)):
+        if any(not 0 <= a - b <= c for a, b, c in zip(u.unpack(kp), u.unpack(kq), box)):
+            return True
+    return False
 
 
 def _divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:

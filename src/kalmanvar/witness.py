@@ -328,10 +328,11 @@ def _independent(vectors: list[list[Scalar]]) -> bool:
     return qmat_rank([list(v) for v in vectors]) == len(vectors)
 
 
-def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
+def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], *,
                seed: int = 0) -> MuWitness:
-    """A rational matrix A with independent eigenvectors v_1, ..., v_s such
-    that the mu-polarization of f vanishes exactly at (v_1, ..., v_s).
+    """A rational matrix A of f's size with independent eigenvectors v_1,
+    ..., v_s such that the mu-polarization of f (`polarize`, which rejects
+    an f not of degree |mu|) vanishes exactly there.
 
     Supported shapes: mu = (d) (a point on the hypersurface from
     `sample_on_hypersurface`, which raises `NoStrategy` when none of its
@@ -340,9 +341,7 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
     """
     if not isinstance(mu, PartitionType):
         mu = PartitionType(mu)
-    d = f.is_homogeneous()
-    if d is None or d != mu.d:
-        raise ValueError(f"form must be homogeneous of degree {mu.d}")
+    n = f.u.nvars
     if mu.s > n:
         raise ValueError("partition has more parts than the dimension")
     if mu.s > 1 and mu.parts[0] >= 2:
@@ -364,7 +363,7 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], n: int,
         cols = [list(v) for v in vectors]
         try:
             V = random_invertible(rng, n, fixed_columns=cols)
-            lams = rho_simple_eigenvalues(rng, n, d)
+            lams = rho_simple_eigenvalues(rng, n, mu.d)
         except RetryExhausted:
             continue
         A = matrix_with_eigenvectors(

@@ -304,7 +304,7 @@ def test_criterion_9_property_suites():
         (3, 3): parse_polynomial("x2^3 - x1^2*x3", U3),
     }
     for (n, d), f in forms.items():
-        report = factorization_audit(f, n, d, trials=20, seed=900 + 10 * n + d)
+        report = factorization_audit(f, trials=20, seed=900 + 10 * n + d)
         assert report["status"] == "pass", report
         names = [a["assertion"] for a in report["assertions"]]
         assert names == ["degree_budget", "mu_witness_vanishing",

@@ -76,10 +76,10 @@ def test_chow_rejects_nonpositive_s(capsys):
 # the flags each subcommand reads; every other flag is rejected at parse time
 DECLARED = {
     "sympower": {"--n", "--d", "--format"},
-    "kalman-matrix": {"--f", "--n", "--d", "--format"},
-    "kalman-det": {"--f", "--n", "--d", "--format"},
+    "kalman-matrix": {"--f", "--n", "--format"},
+    "kalman-det": {"--f", "--n", "--format"},
     "salmon": {"--conic", "--format"},
-    "audit": {"--f", "--n", "--d", "--seed", "--trials", "--format"},
+    "audit": {"--f", "--n", "--seed", "--trials", "--format"},
     "degrees": {"--n", "--d", "--table", "--format"},
     "chow": {"--n", "--s", "--w", "--e3", "--ctilde", "--partition", "--format"},
     "witness": {"--n", "--f", "--seed", "--mu", "--kind", "--format"},
@@ -104,13 +104,14 @@ def test_each_subcommand_declares_exactly_the_flags_it_reads():
     declared = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                 for name, p in subparsers.choices.items()}
     assert declared == DECLARED
-    assert sum(map(len, declared.values())) == 36
+    assert sum(map(len, declared.values())) == 33
 
 
 REMOVED = [
     ("sympower", "--seed"), ("sympower", "--trials"),
-    ("kalman-matrix", "--seed"), ("kalman-matrix", "--trials"),
-    ("kalman-det", "--seed"), ("kalman-det", "--trials"),
+    ("kalman-matrix", "--d"), ("kalman-matrix", "--seed"), ("kalman-matrix", "--trials"),
+    ("kalman-det", "--d"), ("kalman-det", "--seed"), ("kalman-det", "--trials"),
+    ("audit", "--d"),
     ("salmon", "--n"), ("salmon", "--d"), ("salmon", "--seed"), ("salmon", "--trials"),
     ("salmon", "--f"),
     ("degrees", "--seed"), ("degrees", "--trials"),
@@ -154,7 +155,7 @@ def test_chow_modes_are_exclusive(capsys, first, second):
 @pytest.mark.parametrize("base,flag,value", [
     (["sympower", "--d", "2"], "--n", "0"),
     (["sympower", "--n", "2"], "--d", "-1"),
-    (["kalman-det", "--f", "x1^2-x2^2"], "--d", "0"),
+    (["kalman-det", "--f", "x1^2-x2^2"], "--n", "0"),
     (["kalman-matrix", "--f", "x1^2-x2^2"], "--n", "-2"),
     (["audit", "--f", "x1^2-x2^2"], "--n", "0"),
     (["audit", "--f", "x1^2-x2^2"], "--trials", "-5"),
@@ -312,6 +313,7 @@ def test_kalman_det_beyond_size_limit_is_input_error(capsys, form, N):
      "the limit is MAX_KALMAN_TERMS = 20000000"),
     (["kalman-matrix", "--f", "x1^12 + x2^12"], "product exponent would exceed 7-bit field"),
     (["witness", "--n", "200", "--kind", "rank_deficient"], "the limit is MAX_SPECIAL_N = 30"),
+    (["audit", "--f", "x1^4+x2^4+x3^4+x4^4"], "the limit is MAX_AUDIT_WORK = 10000000000"),
 ])
 def test_size_limits_are_input_errors(capsys, argv, limit):
     start = time.perf_counter()

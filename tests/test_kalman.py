@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from collections import OrderedDict
@@ -16,6 +18,7 @@ import kalmanvar.polycore as polycore
 from conftest import matrices
 from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
 from kalmanvar.kalman import (
+    MAX_AUDIT_WORK,
     MAX_DET_N,
     MAX_KALMAN_TERMS,
     KalmanInstance,
@@ -188,11 +191,13 @@ def test_kalman_det_2_2_degree_and_budget():
 
 
 def test_kalman_det_via_dimensions():
-    # n inferred from the form's universe; explicit n/d must agree
-    det = kalman_det(F22, 2, 2)
-    assert det == kalman_det(F22)
-    with pytest.raises(ValueError):
-        kalman_det(F22, 3, 2)
+    # n is the size of the form's universe and d its degree; neither is
+    # passed
+    assert kalman._form_nd(F22) == (2, 2)
+    assert kalman._form_nd(parse_polynomial("x1^2 - x2^2", x_universe(3))) == (3, 2)
+    assert kalman_det(F22).u == a_universe(2)
+    with pytest.raises(TypeError):
+        kalman_det(F22, 2, 2)
 
 
 def test_kalman_det_cache_is_lru(monkeypatch):
@@ -306,6 +311,27 @@ def test_kalman_matrix_size_limit_edge(text, n, bound):
         with pytest.raises(ProblemTooLarge, match=f"may hold {bound} terms; "
                                                   "the limit is MAX_KALMAN_TERMS = 20000000"):
             check_kalman_matrix_size(inst)
+
+
+@pytest.mark.parametrize("trials,work", [
+    (3, 9_243_850_000),  # the most trials accepted
+    (4, 10_924_550_000),  # the fewest rejected
+])
+def test_audit_size_limit_edge(monkeypatch, trials, work):
+    # the quaternary quartic: N = 35, d = 4 and 5 partitions, so the work
+    # is (5 + 2 * trials) * 35^5 * 4^2
+    def budget(*args):
+        raise _Reached
+
+    monkeypatch.setattr(kalman, "discriminant_budget", budget)
+    f = parse_polynomial("x1^4 + x2^4 + x3^4 + x4^4", x_universe(4))
+    if work <= MAX_AUDIT_WORK:
+        with pytest.raises(_Reached):
+            factorization_audit(f, trials=trials)
+    else:
+        with pytest.raises(ProblemTooLarge, match=f"may take {work} units of work; "
+                                                  "the limit is MAX_AUDIT_WORK = 10000000000"):
+            factorization_audit(f, trials=trials)
 
 
 def test_kalman_matrix_exponents_checked_up_front():
@@ -431,6 +457,8 @@ def test_factor_order_validation():
     with pytest.raises(ValueError):
         factor_order_along_line("det", I2, J)  # missing f
     with pytest.raises(ValueError):
+        factor_order_along_line("det", I2, J, f=F22, d=2)  # d is f's degree
+    with pytest.raises(ValueError):
         factor_order_along_line("delta_d", I2, J)  # missing d
     with pytest.raises(ValueError):
         factor_order_along_line("no-such-target", I2, J)
@@ -511,6 +539,38 @@ def test_audit_d1_collision_note():
     assert rep["status"] == "pass"
     coll = [a for a in rep["assertions"] if a["assertion"] == "collision_vanishing"][0]
     assert coll["status"] == "pass"
+
+
+# sha256 of the indented JSON report (as `audit --format json` prints it) of
+# factorization_audit(f, trials=3, seed=seed), recorded before the audit's
+# trial loops were merged and n and d were read from the form alone
+AUDIT_DIGESTS = {
+    ("x1^2 - x2^2", 2, 0): "42241c0e7d7938662929c2ec975be36bf01d29965452ce52e8255b255e17d162",
+    ("x1^2 - x2^2", 2, 7): "84fb7cd8341c47f7c81b74a37676cdb235c6466697f640ad97ca15cb3d84ec97",
+    ("x1^2 - x2^2", 2, 12345): "50e5877ab0958b71351f4bba434cc7473b360430483f06456532b2714d18d812",
+    ("x2^2 - x1*x3", 3, 0): "d34fbcce7de3ce45b58ff21825b990e725bb2c643e40ab4ed42635fa4991547a",
+    ("x2^2 - x1*x3", 3, 7): "cd60e82257142bffcf72327a59f7309f34057a0584bbb1cd74745e9ed6ffa552",
+    ("x2^2 - x1*x3", 3, 12345): "001114f20ce2312472f4dad12a53e4c7e61981ed705203e17e5ed14f23f16dda",
+    ("x1^3 - x2^3", 2, 0): "450b38e7a08cf9daa36dd62821dd99cd01d4f6521402e1472309c8a723e9f00a",
+    ("x1^3 - x2^3", 2, 7): "88c4712d9a12e7a7f6e3ada82780276e828db87185b7571908d2b7b2684008b6",
+    ("x1^3 - x2^3", 2, 12345): "a328daa070dd90985daeeb10ff85faca48b7ebaf7d17fe5fca90cb8de4b87e3a",
+    ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 3, 0): "5413fe5afb309a2513d3cd21e992189c6c2a5c5e66fd4f6ea2f0e62d9f3f5d6e",
+    ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 3, 7): "e0d104d6a05d36839f7bbccde762f70c56e035b309c902d5b10ad50f7cf60d0f",
+    ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 3, 12345): "768e1586611f38a0b52f66e09bde96fc63b4980fd08c2ad0c388f0307c1fa8d6",
+    ("x1^4 - x2^4 + x1*x2^3", 2, 0): "e7fa04bd888845010928158ac124e7eb4d7e98d4e3e12bd6283570b1767397a2",
+    ("x1^4 - x2^4 + x1*x2^3", 2, 7): "d261d36b4f906623bb25c6980ad2dd13e02c8b67b47066ff2feb48ee33b67460",
+    ("x1^4 - x2^4 + x1*x2^3", 2, 12345): "0eef694d483f23fc54ab92931ccc25db73a766fa891ce2d2a04f7e0c570625e9",
+    ("x1 + x2", 2, 0): "44538052d16bd155ad39aebd5329c1f8410207943e23c115ec608992ea12f5b6",
+    ("x1 + x2", 2, 7): "c7248513d855e44ed924d2063bfc65cb702e37749f906e8ce4857a1ee39f2e1e",
+    ("x1 + x2", 2, 12345): "196903e30ef95677c77d28b81503bd6257bff72f874df4e39f81a9838ee3c254",
+}
+
+
+@pytest.mark.parametrize("text,n,seed", list(AUDIT_DIGESTS))
+def test_audit_report_is_byte_identical(text, n, seed):
+    rep = factorization_audit(parse_polynomial(text, x_universe(n)), trials=3, seed=seed)
+    digest = hashlib.sha256(json.dumps(rep, indent=2).encode()).hexdigest()
+    assert digest == AUDIT_DIGESTS[text, n, seed]
 
 
 # -- special locus matrices ---------------------------------------------------------------

@@ -5,13 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import U2, U3, nonzero_fractions, nonzero_ints, polynomials, vectors
@@ -352,17 +353,59 @@ def test_recursive_division_recovers_the_cofactor(kind, data):
     assert all(type(c) is type(h.terms[k]) for k, c in q.terms.items())
 
 
+# a dividend whose quotient box allows minutes of long division; the lead
+# terms reject it at once
+FOUND_G = parse_polynomial("-7/2*x1^2*x2^2*x3^2 - 14/5*x1*x2^2*x3 - 15/7*x1*x2 + x1*x3"
+                           " + 7/12*x1 - 8*x2^2*x3^2", U3)
+FOUND_H = parse_polynomial("10/11*x1^2", U3)
+DIV_ANY = _dividends(U3, st.one_of(*DIV_COEFFS.values()))
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_non_divisible_raises_not_divisible(data):
-    polys = _dividends(U3, st.one_of(*DIV_COEFFS.values()))
-    g = data.draw(polys.filter(lambda g: _varying(g) >= 2))
-    h = data.draw(polys)
-    # a monomial, low or near the top of the 8-bit fields: g divides no monomial
-    e = data.draw(st.tuples(*[st.one_of(st.integers(0, 4), st.integers(200, 255))] * 3))
-    m = Polynomial.from_exponents(U3, {e: data.draw(nonzero_ints)})
+@given(g=DIV_ANY.filter(lambda g: _varying(g) >= 2), h=DIV_ANY,
+       # a monomial, low or near the top of the 8-bit fields: g divides no monomial
+       e=st.tuples(*[st.one_of(st.integers(0, 4), st.integers(200, 255))] * 3),
+       c=nonzero_ints)
+@example(g=FOUND_G, h=FOUND_H, e=(244, 228, 200), c=-4)
+def test_non_divisible_raises_not_divisible(g, h, e, c):
+    m = Polynomial.from_exponents(U3, {e: c})
     with pytest.raises(NotDivisible):
         (g * h + m).exact_div(g)
+
+
+def test_non_divisible_found_input_fails_fast(monkeypatch):
+    p = FOUND_G * FOUND_H + parse_polynomial("-4*x1^244*x2^228*x3^200", U3)
+    start = time.perf_counter()
+    with pytest.raises(NotDivisible):
+        p.exact_div(FOUND_G)
+    assert time.perf_counter() - start < 1.0
+    # the numpy reading of the keys rejects it too
+    box = tuple(a - b for a, b in zip(p.var_maxes(), FOUND_G.var_maxes()))
+    monkeypatch.setattr(polycore, "_KERNEL_MIN_PAIRS", 1)
+    assert polycore._leads_leave_box(p, FOUND_G, box)
+
+
+def test_lead_terms_never_reject_a_product(monkeypatch):
+    # 300 seeded true products, by the Python and then the numpy reading of
+    # the keys
+    rng = random.Random(0)
+
+    def draw(u):
+        return Polynomial.from_exponents(u, {
+            tuple(rng.randint(0, 3) for _ in range(u.nvars)): rng.choice([-3, -1, 1, 2, 7])
+            for _ in range(rng.randint(1, 8))})
+
+    cases = []
+    for u in (t_universe(), U2, U3, U4, a_universe(3), a_universe(4)):
+        for _ in range(50):
+            q, h = draw(u), draw(u)
+            p = q * h
+            cases.append((p, q, tuple(a - b for a, b in zip(p.var_maxes(), q.var_maxes()))))
+    for p, q, box in cases:
+        assert not polycore._leads_leave_box(p, q, box)
+    monkeypatch.setattr(polycore, "_KERNEL_MIN_PAIRS", 1)
+    for p, q, box in cases:
+        assert not polycore._leads_leave_box(p, q, box)
 
 
 def test_division_routes_by_the_divisor_variables(monkeypatch):

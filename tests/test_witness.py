@@ -206,7 +206,7 @@ CASES = [
 def test_mu_witness_all_partitions(f, n, d):
     for mu in partitions(d, n):
         for trial in range(3):
-            w = mu_witness(f, mu.parts, n, seed=derive_seed(42, trial))
+            w = mu_witness(f, mu.parts, seed=derive_seed(42, trial))
             # polarization vanishes exactly at the witness vectors
             assert polarize_value(f, mu.parts, w.vectors) == 0
             assert w.certificate["checks"]["polarization_value"] == "0"
@@ -214,7 +214,7 @@ def test_mu_witness_all_partitions(f, n, d):
 
 
 def test_mu_witness_vectors_are_eigenvectors():
-    w = mu_witness(F32, (2,), 3, seed=1)
+    w = mu_witness(F32, (2,), seed=1)
     A = w.A
     v = w.vectors[0]
     lam = w.eigenvalues[0]
@@ -222,22 +222,22 @@ def test_mu_witness_vectors_are_eigenvectors():
 
 
 def test_mu_witness_trivial_partition_point_on_hypersurface():
-    w = mu_witness(F22, (2,), 2, seed=5)
+    w = mu_witness(F22, (2,), seed=5)
     assert F22.evaluate(tuple(w.vectors[0])) == 0
     inst = KalmanInstance.from_form(F22)
     assert membership_necessary(inst, w.A)
 
 
 def test_mu_witness_deterministic():
-    a = mu_witness(F32, (1, 1), 3, seed=99)
-    b = mu_witness(F32, (1, 1), 3, seed=99)
+    a = mu_witness(F32, (1, 1), seed=99)
+    b = mu_witness(F32, (1, 1), seed=99)
     assert a.A == b.A and a.vectors == b.vectors
 
 
 def test_mu_witness_unsupported_partition():
     f = parse_polynomial("x1^4 - x2^4 + x1*x2^3", U2)
     with pytest.raises(UnsupportedPartition) as e:
-        mu_witness(f, (2, 2), 2, seed=0)
+        mu_witness(f, (2, 2), seed=0)
     assert str(e.value) == ("partition (2, 2): no exact construction when the "
                             "smallest part is >= 2")
 
@@ -247,24 +247,26 @@ def test_mu_witness_unsupported_exactly_when_smallest_part_exceeds_one():
     for mu in partitions(4, 3):
         if mu.s > 1 and mu.parts[0] >= 2:
             with pytest.raises(UnsupportedPartition):
-                mu_witness(f, mu, 3, seed=1)
+                mu_witness(f, mu, seed=1)
         else:
-            w = mu_witness(f, mu, 3, seed=1)
+            w = mu_witness(f, mu, seed=1)
             assert polarize_value(f, mu.parts, w.vectors) == 0
 
 
 def test_mu_witness_validation():
     with pytest.raises(ValueError):
-        mu_witness(F22, (1, 1, 1), 2, seed=0)  # more parts than n
+        mu_witness(F22, (1, 1, 1), seed=0)  # more parts than n
     with pytest.raises(ValueError):
-        mu_witness(F22, (3,), 2, seed=0)  # wrong degree
+        mu_witness(F22, (3,), seed=0)  # wrong degree
+    with pytest.raises(TypeError):
+        mu_witness(F22, (2,), 5)  # the seed is keyword-only
 
 
 def test_mu_witness_kalman_det_vanishes():
     det = kalman_det(F22)
     for mu in [(2,), (1, 1)]:
         for trial in range(3):
-            w = mu_witness(F22, mu, 2, seed=derive_seed(7, trial))
+            w = mu_witness(F22, mu, seed=derive_seed(7, trial))
             flat = tuple(x for row in w.A for x in row)
             assert det.evaluate(flat) == 0, mu
 
@@ -274,7 +276,7 @@ def test_mu_witness_nontrivial_partition_avoids_hypersurface():
     # on the hypersurface itself: the component is genuinely different
     hits = 0
     for trial in range(6):
-        w = mu_witness(F22, (1, 1), 2, seed=derive_seed(100, trial))
+        w = mu_witness(F22, (1, 1), seed=derive_seed(100, trial))
         if any(F22.evaluate(tuple(v)) == 0 for v in w.vectors):
             hits += 1
     assert hits < 6
