@@ -20,12 +20,13 @@ int64 limbs, or exact Python ints in object arrays), and it has one
 reduction for all three: the exponent box is compacted by the exact linear
 relations all the sum's exponents keep (total degree, torus weights), and
 pairs are scatter-added into an accumulator of at most `_DENSE_CELLS`
-cells, one stripe of the box at a time.  It gives the dict loop's terms, in
+cells, one stripe of the box at a time, through buffers of at most
+`_CHUNK` pairs whatever the value form.  It gives the dict loop's terms, in
 ascending key order.  A sum whose compacted box has more than
-`_CELLS_PER_PAIR` cells per pair is too sparse for it and declines.  The
-dict loop that accumulates every pair of every triple is the portable path:
-it serves rational coefficients, sparse sums, small sums and runs without
-numpy.
+`_CELLS_PER_PAIR` cells per pair is too sparse for it and declines, most
+such sums on a few sampled keys.  The dict loop that accumulates every pair
+of every triple is the portable path: it serves rational coefficients,
+sparse sums, small sums and runs without numpy.
 
 Exact division is recursive: long division in the divisor's most
 significant varying variable, each slice of the quotient an exact division
@@ -36,7 +37,9 @@ divisor whose terms differ in at most one variable takes a heap loop.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
+import itertools
 import math
 import operator
 import re
@@ -568,8 +571,24 @@ def format_terms(u: Universe, keys: Sequence[int], coeffs: Iterable[Scalar]) -> 
         tab = _Factors(names, u.bits)
         sh, m = u._shifts[i + len(names) - 1], (1 << u.bits * len(names)) - 1
         groups.append(map(tab.__getitem__, map(m.__and__, map(sh.__rrshift__, keys))))
-    parts = []
-    for c, mono in zip(coeffs, map("".join, zip(*groups))):
+    terms = _term_texts(zip(coeffs, map("".join, zip(*groups))))
+    # joined a block at a time, so the text of every term is never held at once
+    blocks = []
+    while block := "".join(itertools.islice(terms, _TEXT_BLOCK)):
+        blocks.append(block)
+    # every term was printed with its separator: the first one's is its sign
+    blocks[0] = blocks[0][3:] if blocks[0][1] == "+" else "-" + blocks[0][3:]
+    return "".join(blocks)
+
+
+# terms per block of text
+_TEXT_BLOCK = 4096
+
+
+def _term_texts(terms: Iterable[tuple[Scalar, str]]) -> Iterable[str]:
+    """Each term as " + body" or " - body", from its coefficient and its
+    monomial text (the factors, each with a trailing "*")."""
+    for c, mono in terms:
         neg = c < 0
         a = -c if neg else c
         mono = mono[:-1]
@@ -579,11 +598,7 @@ def format_terms(u: Universe, keys: Sequence[int], coeffs: Iterable[Scalar]) -> 
             body = mono
         else:
             body = f"{a}*{mono}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
+        yield (" - " if neg else " + ") + body
 
 
 class _Factors(dict):
@@ -626,38 +641,68 @@ def _add_into(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
 
 def _leads_leave_box(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> bool:
     """True when no h with every exponent in [0, box] has q*h = p, as the
-    lead terms of 2n orders show.
+    lead terms of 2n + 2 orders show.
 
     Order (i, s), for each variable i and sign s, compares exponent vectors
     by s*e_i first, then by -s*e_j for every other j in universe order.  It
     is total and compatible with addition, so lead(q*h) = lead(q) + lead(h)
     (Ostrowski): p is not divisible when lead(p) - lead(q) leaves the box.
     The lead under (i, 1) is the smallest key of those with the largest
-    e_i, and under (i, -1) the largest key of those with the smallest e_i:
-    in sorted keys, the first and the last such key.  Divisions large
-    enough for the kernel (`_KERNEL_MIN_PAIRS`) read the keys with numpy.
+    e_i, and under (i, -1) the largest key of those with the smallest e_i.
+    The key order itself (lex) and its reverse are two more such orders,
+    with the largest and the smallest key as leads; they are also the
+    orders (i, -1) and (i, 1) of every variable in which neither p nor q
+    varies, which so cost nothing.  Each distinct pair of leads is checked
+    once, on the packed keys (`_exceeds`).  Divisions large enough for the kernel (`_KERNEL_MIN_PAIRS`) read
+    the keys with numpy, as many variables at once as keep the exponents
+    read within `_CHUNK`; the rest sort each operand's keys once and read
+    in pure Python only the variables in which p or q varies, none when
+    just one does.
     """
     u = p.u
     if _np is not None and len(p.terms) * len(q.terms) >= _KERNEL_MIN_PAIRS:
         kdt = "uint64" if u.bits * u.nvars <= 64 else object
-
-        def leads(terms):
+        shifts = _np.array(u._shifts, dtype=kdt)[:, None]
+        leads = []
+        for terms in (p.terms, q.terms):
             keys = _np.fromiter(terms, dtype=kdt, count=len(terms))
-            for sh in u._shifts:
-                e = (keys >> sh) & u._mask
-                yield int(keys[e == e.max()].min())
-                yield int(keys[e == e.min()].max())
+            lo, hi = keys.min(), keys.max()
+            top, bottom = [], []
+            # one row per variable, as many rows as fit `_CHUNK` exponents
+            step = max(1, _CHUNK // len(keys))
+            for i in range(0, u.nvars, step):
+                e = (keys >> shifts[i:i + step]) & u._mask
+                top += _np.where(e == e.max(axis=1, keepdims=True), keys, hi).min(axis=1).tolist()
+                bottom += _np.where(e == e.min(axis=1, keepdims=True), keys, lo).max(axis=1).tolist()
+            leads.append([int(lo), int(hi), *top, *bottom])
+        pairs = set(zip(*leads))
     else:
-        def leads(terms):
-            keys = sorted(terms)
-            for sh in u._shifts:
-                e = list(map((u._mask << sh).__and__, keys))
-                yield keys[e.index(max(e))]
-                yield keys[~e[::-1].index(min(e))]
-    for kp, kq in zip(leads(p.terms), leads(q.terms)):
-        if any(not 0 <= a - b <= c for a, b, c in zip(u.unpack(kp), u.unpack(kq), box)):
-            return True
-    return False
+        kp, kq = sorted(p.terms), sorted(q.terms)
+        pairs = {(kp[0], kq[0]), (kp[-1], kq[-1])}
+        # the bits in which some keys differ, so the fields that vary
+        varies = 0
+        for keys in (kp, kq):
+            varies |= functools.reduce(operator.or_, keys) ^ functools.reduce(operator.and_, keys)
+        fields = [u._mask << sh for sh in u._shifts if varies >> sh & u._mask]
+        # when one variable varies, its orders are lex and its reverse
+        for field in fields if len(fields) > 1 else ():
+            ep, eq = list(map(field.__and__, kp)), list(map(field.__and__, kq))
+            pairs.add((kp[ep.index(max(ep))], kq[eq.index(max(eq))]))
+            pairs.add((kp[~ep[::-1].index(min(ep))], kq[~eq[::-1].index(min(eq))]))
+    low, reach = sum(1 << sh for sh in u._shifts[:-1]), u.pack(box)
+    # lead(q) + reach has no field past the mask: lead(q)_i + box_i <= vmax_p_i
+    return any(_exceeds(lq, lp, low) or _exceeds(lp, lq + reach, low) for lp, lq in pairs)
+
+
+def _exceeds(a: int, b: int, low: int) -> bool:
+    """True when some exponent field of packed key a is larger than b's.
+
+    Then b - a borrows out of the lowest such field, and out of no field
+    below it, and a borrow out of a field is a borrow into the lowest bit
+    of the next (`low` holds those bits), or b < a for the first field.  A
+    borrow into bit k shows as bit k of (b - a) ^ a ^ b."""
+    d = b - a
+    return d < 0 or bool((d ^ a ^ b) & low)
 
 
 def _divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
@@ -819,10 +864,9 @@ def sum_of_products(u: Universe,
 _I64_SAFE = 1 << 62
 # an int64 product split into a signed high limb and a low limb of 31 bits
 _LIMB = 31
-# term pairs per chunk: int64 values (half as many when split into limbs),
-# and exact Python ints in object arrays
-_CHUNK_I64 = 1 << 21
-_CHUNK_OBJ = 1 << 16
+# term pairs per chunk, for every value form: a chunk's keys and values
+# stay in L2 between the outer product that writes them and `np.add.at`
+_CHUNK = 1 << 16
 # cells of the accumulator, per limb
 _DENSE_CELLS = 1 << 20
 # a sum whose compacted box has more cells than this per pair takes the
@@ -831,6 +875,8 @@ _DENSE_CELLS = 1 << 20
 # int64 values, ~30 for limbs and ~20 for exact ints; 16 is below all three.
 # The products of the determinants have at most 6 cells per pair.
 _CELLS_PER_PAIR = 16
+# the rank of sampled exponent differences is taken mod this prime
+_RANK_PRIME = (1 << 61) - 1
 
 
 def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
@@ -844,52 +890,58 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
     fewer than 2**31 pairs, each product is split into two int64 limbs
     (v >> 31, v & (2**31-1)) whose sums stay below 2**62, and the limbs are
     joined as Python ints per output term.  Otherwise the values are exact
-    Python ints in object arrays, with a smaller chunk.
+    Python ints in object arrays.
 
-    The kernel declines on non-integer coefficients before building any
-    array.  The exponent box has dims_i = max over triples of vp_i + vq_i,
-    plus 1, the first variable most significant.  `_relations` drops one
-    digit of the box per exact linear relation that every pair sum's
-    exponents keep, and the kept digits index the compacted box.  The kernel
-    declines when that box has more than `_CELLS_PER_PAIR` cells per pair,
-    or when its last digit alone is wider than `_DENSE_CELLS`.
+    The exponent box has dims_i = max over triples of vp_i + vq_i, plus 1,
+    the first variable most significant.  `_relations` drops one digit of
+    the box per exact linear relation that every pair sum's exponents keep,
+    and the kept digits index the compacted box.  The kernel declines when
+    that box has more than `_CELLS_PER_PAIR` cells per pair, or when its
+    last digit alone is wider than `_DENSE_CELLS`; `_box_past` sees most
+    such sparse sums from a few keys, before the coefficient norms or any
+    exponent row.  It declines on non-integer coefficients before building
+    any array.
 
     Pairs are scatter-added into the compacted box, one stripe at a time.
     The trailing kept digits whose box fits `_DENSE_CELLS` index a stripe's
     accumulator, and the leading ones pick the stripe.  Each operand's rows
     are grouped by their leading index; a stripe takes the group pairs whose
-    leading indices add to it, in outer products of at most `cap` pairs (no
-    more than the largest single product would take alone), scatter-added
-    with `np.add.at` into one array per limb.  The cells it touched are read
-    with `flatnonzero` and zeroed.  Dropped digits are rebuilt from the kept
-    ones by exact division, and the terms equal the dict loop's, in
-    ascending key order.
+    leading indices add to it, in blocks of their outer products, and
+    scatter-adds them with `np.add.at` into one array per limb.  Every value
+    form buffers at most `_CHUNK` pairs (fewer when no single product has
+    that many), so the buffers stay in cache and fusing products does not
+    grow them; limbs are split into one more such buffer.  The cells a
+    stripe touched are read with `flatnonzero` and zeroed.  The buffers and
+    the accumulator are freed before the output is built.  Dropped digits
+    are rebuilt from the kept ones by exact division, and the terms equal
+    the dict loop's, in ascending key order.
     """
-    ops = []
+    ops = [(sign, p, q) if len(p.terms) <= len(q.terms) else (sign, q, p)
+           for sign, p, q in triples]
+    pairs = sum(len(p.terms) * len(q.terms) for _, p, q in ops)
+    u = ops[0][1].u
+    dims = [1] * u.nvars
+    for _, p, q in ops:
+        dims = [max(d, x + y + 1) for d, x, y in zip(dims, p.var_maxes(), q.var_maxes())]
+    digits = [(i, sh, d) for i, (sh, d) in enumerate(zip(u._shifts, dims)) if d > 1]
+    if _box_past(ops, digits, u._mask, _CELLS_PER_PAIR * pairs):
+        return None
     bound = 0
     products_fit = True
-    for sign, p, q in triples:
+    for _, p, q in ops:
         l1p, lip, aip = p._norm_info()
         l1q, liq, aiq = q._norm_info()
         if not (aip and aiq):
             return None
         bound += min(l1p * liq, lip * l1q)
         products_fit = products_fit and lip * liq < _I64_SAFE
-        ops.append((sign, p, q) if len(p.terms) <= len(q.terms) else (sign, q, p))
-    pairs = sum(len(p.terms) * len(q.terms) for _, p, q in ops)
     if bound < _I64_SAFE:
-        vdt, limbs, budget = "int64", 1, _CHUNK_I64
+        vdt, limbs = "int64", 1
     elif products_fit and pairs < _I64_SAFE >> _LIMB:
-        vdt, limbs, budget = "int64", 2, _CHUNK_I64 // 2
+        vdt, limbs = "int64", 2
     else:
-        vdt, limbs, budget = object, 1, _CHUNK_OBJ
-    u = ops[0][1].u
-    dims = [1] * u.nvars
-    for _, p, q in ops:
-        dims = [max(d, x + y + 1) for d, x, y in zip(dims, p.var_maxes(), q.var_maxes())]
-    cap = max(min(len(p.terms), max(1, budget // len(q.terms))) * len(q.terms)
-              for _, p, q in ops)
-    digits = [(i, sh, d) for i, (sh, d) in enumerate(zip(u._shifts, dims)) if d > 1]
+        vdt, limbs = object, 1
+    cap = min(_CHUNK, max(len(p.terms) * len(q.terms) for _, p, q in ops))
     kdt = "uint64" if u.bits * u.nvars <= 64 else object
 
     def operand(terms, sign=1):
@@ -938,6 +990,7 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
     del operands, pe, qe, e
     key = _np.empty(cap, dtype=_np.int64)
     val = _np.empty(cap, dtype=vdt)
+    limb = _np.empty(cap, dtype=vdt) if limbs == 2 else None
     acc = _np.zeros((limbs, inner), dtype=vdt)
     low = (1 << _LIMB) - 1
 
@@ -945,8 +998,8 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
         if limbs == 1:
             _np.add.at(acc[0], key[:n], val[:n])
         else:
-            _np.add.at(acc[0], key[:n], val[:n] >> _LIMB)
-            _np.add.at(acc[1], key[:n], val[:n] & low)
+            _np.add.at(acc[0], key[:n], _np.right_shift(val[:n], _LIMB, out=limb[:n]))
+            _np.add.at(acc[1], key[:n], _np.bitwise_and(val[:n], low, out=limb[:n]))
 
     found_cells, found_vals = [], []
     for stripe in range(stripes):
@@ -956,32 +1009,36 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
                            bisect.bisect_right(heads, stripe - qlo)):
                 r0, r1 = rows[g], rows[g + 1]
                 q0, q1 = qb[stripe - heads[g]], qb[stripe - heads[g] + 1]
-                lq = q1 - q0
-                if not lq:
-                    continue
-                step = cap // lq
-                for r in range(r0, r1, step):
-                    shape = (min(step, r1 - r), lq)
-                    if at + shape[0] * lq > cap:
-                        scatter(at)
-                        at = 0
-                    end = at + shape[0] * lq
-                    _np.add(pr[r:r + shape[0], None], qr[q0:q1], out=key[at:end].reshape(shape))
-                    _np.multiply(pv[r:r + shape[0], None], qv[q0:q1], out=val[at:end].reshape(shape))
-                    at = end
+                # blocks of at most cap columns, and as many rows as fit
+                for c0 in range(q0, q1, cap):
+                    c1 = min(c0 + cap, q1)
+                    step = cap // (c1 - c0)
+                    for r in range(r0, r1, step):
+                        shape = (min(step, r1 - r), c1 - c0)
+                        if at + shape[0] * shape[1] > cap:
+                            scatter(at)
+                            at = 0
+                        end = at + shape[0] * shape[1]
+                        _np.add(pr[r:r + shape[0], None], qr[c0:c1], out=key[at:end].reshape(shape))
+                        _np.multiply(pv[r:r + shape[0], None], qv[c0:c1], out=val[at:end].reshape(shape))
+                        at = end
         if not at:
             continue
         scatter(at)
-        hit = _np.flatnonzero(acc[0] if limbs == 1 else acc[0] | acc[1])
+        hit = _np.flatnonzero(acc[0] if limbs == 1 else acc.any(axis=0))
         found_cells.append(hit + stripe * inner)
         found_vals.append(acc[:, hit])
         acc[:, hit] = 0
+    # the scratch is spent before the output is built
+    del key, val, limb, acc, groups
     cell = _np.concatenate(found_cells)
+    del found_cells
     acc_v = _np.concatenate(found_vals, axis=1)
-    del found_cells, found_vals, groups
+    del found_vals
     vals = acc_v[0]
     if limbs == 2:
         vals = (vals.astype(object) << _LIMB) + acc_v[1].astype(object)
+    del acc_v
     nz = vals != 0
     cell, vals = cell[nz], vals[nz]
     # keys digit by digit: the kept ones, then each dropped one from its relation
@@ -998,9 +1055,76 @@ def _np_mul(triples: Sequence[tuple[int, Polynomial, Polynomial]]):
         t //= w[j]
         _put_digit(keys, vmax, digits[j], t, kdt)
     order = _np.argsort(keys, kind="stable")
-    out = Polynomial(u, dict(zip(keys[order].tolist(), vals[order].tolist())))
+    keys, vals = keys[order], vals[order]
+    del cell, nz, rest, order
+    out = Polynomial(u, _terms_of(keys, vals))
     out._vmax = tuple(vmax)
     return out
+
+
+def _terms_of(keys, vals) -> dict[int, Scalar]:
+    """The dict of two arrays' elements as Python ints, made a block at a
+    time, so no whole list of either is held beside it."""
+    terms: dict[int, Scalar] = {}
+    for a in range(0, len(keys), _CHUNK):
+        terms.update(zip(keys[a:a + _CHUNK].tolist(), vals[a:a + _CHUNK].tolist()))
+    return terms
+
+
+def _box_past(ops, digits, mask: int, limit: int) -> bool:
+    """True when the box that `_relations` compacts is sure to have more
+    than `limit` cells, from a few keys of each operand.
+
+    Relations are orthogonal to every exponent difference within an
+    operand and between the triples' base sums.  The differences among
+    about k + 2 keys of each operand and between the triples' first-key
+    sums span part of that space, so their rank r (mod a prime, which can
+    only lower it) leaves room for at most k - r relations over the k
+    digits.  Each relation drops one digit, so the compacted box keeps at
+    least the product of the r narrowest.  Nothing is sampled when the
+    whole box is within `limit`.
+    """
+    widths = sorted(d for *_, d in digits)
+    if math.prod(widths) <= limit:
+        return False
+    shifts = [sh for _, sh, _ in digits]
+    span = len(shifts) + 1
+
+    def exps(key):
+        return [(key >> sh) & mask for sh in shifts]
+
+    def differences():
+        base0 = None
+        for _, p, q in ops:
+            firsts = []
+            for terms in (p.terms, q.terms):
+                keys = itertools.islice(terms, 0, None, max(1, len(terms) // span))
+                e0 = exps(next(keys))
+                firsts.append(e0)
+                for k in keys:
+                    yield [a - b for a, b in zip(exps(k), e0)]
+            base = list(map(operator.add, *firsts))
+            if base0 is None:
+                base0 = base
+            else:
+                yield [a - b for a, b in zip(base, base0)]
+
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row): 1 at its pivot, 0 at earlier ones
+    floor = 1
+    for v in differences():
+        for c, row in basis:
+            if v[c]:
+                f = v[c]
+                v = [(x - f * y) % _RANK_PRIME for x, y in zip(v, row)]
+        c = next((i for i, x in enumerate(v) if x % _RANK_PRIME), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, _RANK_PRIME)
+        basis.append((c, [x * inv % _RANK_PRIME for x in v]))
+        floor *= widths[len(basis) - 1]
+        if floor > limit:
+            return True
+    return False
 
 
 def _relations(operands, dims: list[int]) -> list[tuple[int, list[int], int]]:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -268,6 +269,26 @@ def test_portable_path_matches_numpy_on_a_dehomogenized_conic(monkeypatch):
     assert all(type(c) is int for c in portable.terms.values())
     assert portable.exact_div(g2).terms == quotient.terms
     assert g2 * quotient == det
+
+
+def test_dehomogenized_conic_det_peak_memory():
+    # the benchmark's conic: K_2 of x2^2 - x1*x3 with a11 = a33 = 1, whose
+    # determinant (124,815 terms, 11.9 MB traced) ends in one 57M-pair kernel
+    # call.  Its traced peak is 29.5 MB with pair buffers of 2**16 pairs;
+    # buffers of 2**21 pairs took it to 70.1 MB.  40 MB leaves a third over
+    # the measured peak.
+    f = parse_polynomial("x2^2 - x1*x3", x_universe(3))
+    fixed = {"a11": 1, "a33": 1}
+    A = PolyMatrix.generic(3).map(lambda e: e.specialize(fixed))
+    K = kalman_matrix(KalmanInstance.from_form(f), A)
+    tracemalloc.start()
+    try:
+        det = K.det()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(det.terms) == 124815
+    assert peak < 40 * 2**20
 
 
 class _Reached(Exception):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -131,6 +132,24 @@ def test_to_text_matches_reference_formatter(seed, u):
     for p in (Polynomial.from_exponents(u, terms), Polynomial.const(u, terms[(0,) * u.nvars])):
         assert p.to_text() == _reference_text(p)
     assert Polynomial.zero(u).to_text() == "0"
+
+
+B = polycore._TEXT_BLOCK
+
+
+@pytest.mark.parametrize("first_negative", [True, False], ids=["first -", "first +"])
+@pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 3 * B + 5])
+def test_format_terms_block_seams(count, first_negative):
+    # terms are joined a block of B at a time; every block's first term is
+    # negative, and so, or not, is the first term of the text
+    u = x_universe(2)
+    keys = sorted((u.pack((i // 128, i % 128)) for i in range(count)), reverse=True)
+    coeffs = [(-1) ** i * (1 + i % 7) for i in range(count)]
+    for start in range(0, count, B):
+        coeffs[start] = -abs(coeffs[start])
+    coeffs[0] = -1 if first_negative else 1
+    p = Polynomial(u, dict(zip(keys, coeffs)))
+    assert polycore.format_terms(u, keys, coeffs) == _reference_text(p) == p.to_text()
 
 
 @pytest.mark.parametrize("bad", ["x1 +", "x4", "x1^^2", "x1**2", "(", "x1 x2", ""])
@@ -408,6 +427,20 @@ def test_lead_terms_never_reject_a_product(monkeypatch):
         assert not polycore._leads_leave_box(p, q, box)
 
 
+@pytest.mark.parametrize("u", [Universe(("a", "b", "c"), bits=2), x_universe(2), t_universe(),
+                               a_universe(4)], ids=["2-bit", "8-bit", "32-bit", "128-bit"])
+def test_packed_comparison_matches_the_exponents(u):
+    # some field of a larger than b's, read from packed keys, with the
+    # extreme exponents 0 and the field mask drawn often
+    low = sum(1 << sh for sh in u._shifts[:-1])
+    rng = random.Random(u.bits)
+    edges = [0, 1, u._mask - 1, u._mask]
+    for _ in range(2000):
+        a, b = (tuple(rng.choice(edges + [rng.randint(0, u._mask)]) for _ in range(u.nvars))
+                for _ in range(2))
+        assert polycore._exceeds(u.pack(a), u.pack(b), low) == any(map(operator.gt, a, b))
+
+
 def test_division_routes_by_the_divisor_variables(monkeypatch):
     divisors = []
     heap = polycore._heap_divide
@@ -507,20 +540,21 @@ def _norms(triples) -> tuple[int, int]:
 
 
 def _spy_kernel(mp) -> list:
-    """Patch the kernel to record, per call that reaches `_relations`, how
-    many relations it found, how many cells the box they compact has, and
-    whether the kernel ran (False: it declined)."""
+    """Patch the kernel to record, per call, how many relations it found
+    and how many cells the box they compact has (both None when it declined
+    before `_relations`), and whether the kernel ran (False: it declined)."""
     seen = []
     relations, kernel = polycore._relations, polycore._np_mul
 
     def spy_relations(operands, dims):
         out = relations(operands, dims)
         dropped = {j for j, _, _ in out}
-        cells = math.prod(d for i, d in enumerate(dims) if i not in dropped)
-        seen.append(SimpleNamespace(relations=len(out), cells=cells, ran=False))
+        seen[-1].relations = len(out)
+        seen[-1].cells = math.prod(d for i, d in enumerate(dims) if i not in dropped)
         return out
 
     def spy_kernel(triples):
+        seen.append(SimpleNamespace(relations=None, cells=None, ran=False))
         out = kernel(triples)
         seen[-1].ran = out is not None
         return out
@@ -553,14 +587,19 @@ def test_np_mul_matches_dict_loop(kind, data):
     # a bound of 1 also declines sums that the module's bound takes
     bound = data.draw(st.sampled_from([1, polycore._CELLS_PER_PAIR]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polycore, "_CHUNK_I64", chunk)
-        mp.setattr(polycore, "_CHUNK_OBJ", chunk)
+        mp.setattr(polycore, "_CHUNK", chunk)
         mp.setattr(polycore, "_CELLS_PER_PAIR", bound)
         seen = _spy_kernel(mp)
         out = polycore._np_mul(triples)
-    # the kernel runs exactly when the compacted box is within the bound
-    [call] = seen
+        # the same sum without the sampled rank bound reaches `_relations`
+        mp.setattr(polycore, "_box_past", lambda *args: False)
+        polycore._np_mul(triples)
+    # the kernel runs exactly when the compacted box is within the bound,
+    # and the rank bound declines only sums that `_relations` declines
+    early, call = seen
     assert call.ran == (call.cells <= bound * pairs)
+    assert early.ran == call.ran
+    assert early.cells in (None, call.cells)
     if not call.ran:
         return
     assert out.terms == _dict_loop_sum(triples).terms
@@ -581,23 +620,85 @@ def test_np_mul_keys_wider_than_64_bits(u):
     assert out is not None and out == _dict_loop_product(p, q) - _dict_loop_product(q, base)
 
 
-def _kernel_peak(triples) -> int:
+def _kernel_peak(triples) -> tuple[int, int]:
+    """The traced peak of one kernel call, and what its output keeps."""
     tracemalloc.start()
     try:
         out = polycore._np_mul(triples)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out is not None
-    return peak
+    return peak, kept
 
 
 def test_np_mul_sum_takes_no_larger_chunks_than_one_product():
     # 84 x 286 pairs per product, 969 output terms: the chunk arrays dominate
     p, q = P("x1 + x2 + x3 + 1") ** 6, P("x1 + x2 + x3 + 1") ** 10
-    one = _kernel_peak([(1, p, q)])
-    five = _kernel_peak([(1, p.scale(k), q) for k in range(1, 6)])
+    one, _ = _kernel_peak([(1, p, q)])
+    five, _ = _kernel_peak([(1, p.scale(k), q) for k in range(1, 6)])
     assert five <= 1.25 * one
+
+
+class _Allocations:
+    """numpy, recording the element count of every array that `empty` and
+    `zeros` make."""
+
+    def __init__(self):
+        self.numpy = polycore._np
+        self.sizes = {"empty": [], "zeros": []}
+
+    def __getattr__(self, name):
+        make = getattr(self.numpy, name)
+        if name not in self.sizes:
+            return make
+
+        def recorded(shape, *args, **kwargs):
+            self.sizes[name].append(math.prod(shape) if isinstance(shape, tuple) else shape)
+            return make(shape, *args, **kwargs)
+        return recorded
+
+
+# p scaled so that the certificate picks each value form for p * q
+BUFFER_SCALES = {"int64": 1, "limbs": 2**27, "object": 2**30}
+
+
+@pytest.mark.parametrize("chunk", [None, 331], ids=["module chunk", "331"])
+@pytest.mark.parametrize("form", sorted(BUFFER_SCALES))
+def test_kernel_buffers_are_bounded_by_the_chunk(form, chunk):
+    # 286 x 455 = 130,130 pairs, past one chunk of 2**16; 331 is less than one
+    # stripe's row of q, so the outer products are split mid-row
+    base = P("x1 + x2 + x3 + 1")
+    p, q = (base ** 10).scale(BUFFER_SCALES[form]), base ** 12
+    cert, largest = _norms([(1, p, q)])
+    assert (cert < 2**62) == (form == "int64")
+    assert (largest < 2**62) == (form != "object")
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(polycore, "_CHUNK", chunk)
+        numpy = _Allocations()
+        mp.setattr(polycore, "_np", numpy)
+        limit = polycore._CHUNK
+        out = polycore._np_mul([(1, p, q)])
+    assert out.terms == _dict_loop_product(p, q).terms
+    pairs = len(p.terms) * len(q.terms)
+    assert pairs > limit
+    # the pair buffers are full chunks, and nothing else grows with the pairs:
+    # the other arrays are the accumulator (23**3 cells, one or two limbs),
+    # the operands' indices and the output's keys
+    assert max(numpy.sizes["empty"]) == limit
+    assert max(numpy.sizes["zeros"]) <= 2 * 23**3 < pairs // 2
+
+
+def test_kernel_peak_is_bounded_by_its_output_and_accumulator():
+    # every monomial of degree <= 20 times every one of degree <= 22 over
+    # x1..x3: 1771 x 2300 = 4,073,300 pairs into the 43**3 cells of one
+    # stripe, 14,190 output terms.  Chunks of 2**21 pairs took 32 MB.
+    p, q = (Polynomial.from_exponents(U3, {e: 1 for e in itertools.product(range(d + 1), repeat=3)
+                                           if sum(e) <= d}) for d in (20, 22))
+    assert len(p.terms) * len(q.terms) >= 2**20
+    peak, kept = _kernel_peak([(1, p, q)])
+    assert peak < 2 * kept + 8 * 43**3
 
 
 class _NoNumpy:
@@ -605,18 +706,6 @@ class _NoNumpy:
 
     def __getattr__(self, name):
         raise AssertionError(f"numpy.{name} used")
-
-
-class _NoPairArrays:
-    """numpy, less the calls that build or reduce arrays of term pairs."""
-
-    def __init__(self):
-        self.numpy = polycore._np
-
-    def __getattr__(self, name):
-        if name in ("empty", "add", "multiply"):
-            raise AssertionError(f"numpy.{name} used")
-        return getattr(self.numpy, name)
 
 
 def _declined_operands(kind: str) -> tuple[Polynomial, Polynomial]:
@@ -634,11 +723,11 @@ def _declined_operands(kind: str) -> tuple[Polynomial, Polynomial]:
 
 @pytest.mark.parametrize("kind", ["fraction", "wide box"])
 def test_np_mul_declines_before_any_array(kind):
-    """Fractions decline before any array.  A wide box declines once its
-    relations are known, before any array of pairs."""
+    """Fractions decline before any array.  A wide box declines on the rank
+    of a few sampled keys' exponent differences, before any array."""
     p, q = _declined_operands(kind)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polycore, "_np", _NoNumpy() if kind == "fraction" else _NoPairArrays())
+        mp.setattr(polycore, "_np", _NoNumpy())
         assert polycore._np_mul([(1, p, q)]) is None
         # one declining triple declines the whole sum
         assert polycore._np_mul([(1, q, q), (-1, p, q)]) is None
@@ -692,7 +781,10 @@ def _dense_triples(kind: str, form: str, rng: random.Random):
     return [(rng.choice([1, -1]), operand(x), operand(y)) for x, y in ((a, b), (b, a), (a, b))]
 
 
-@pytest.mark.parametrize("chunk", [64, 1 << 21])
+# odd chunks: 61 is shorter than q's rows when the box is one stripe, so the
+# outer products split mid-row, and 1001 holds no whole number of rows;
+# 2**21 takes every sum in one chunk
+@pytest.mark.parametrize("chunk", [61, 64, 1001, 1 << 21])
 @pytest.mark.parametrize("cells", [4, 7, 49, 1 << 20])
 @pytest.mark.parametrize("form", ["int64", "limbs", "object"])
 @pytest.mark.parametrize("kind", [*DENSE_RELATIONS, "unequal"])
@@ -705,8 +797,7 @@ def test_dense_reduction_matches_dict_loop(kind, form, cells, chunk):
     expected = len(DENSE_RELATIONS.get(kind, []))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polycore, "_DENSE_CELLS", cells)
-        mp.setattr(polycore, "_CHUNK_I64", chunk)
-        mp.setattr(polycore, "_CHUNK_OBJ", chunk)
+        mp.setattr(polycore, "_CHUNK", chunk)
         seen = _spy_kernel(mp)
         out = polycore._np_mul(triples)
         # the negated sum cancels every term
@@ -732,12 +823,35 @@ def test_kernel_takes_a_ladder_like_sum_and_declines_a_sparse_one():
     with pytest.MonkeyPatch.context() as mp:
         seen = _spy_kernel(mp)
         dense_out, sparse_out = p * q, sparse[0] * sparse[1]
-    assert [(c.relations, c.ran) for c in seen] == [(1, True), (0, False)]
+        # the sparse sum declines on sampled keys, before `_relations`;
+        # without that bound, `_relations` finds its box past the bound
+        mp.setattr(polycore, "_box_past", lambda *args: False)
+        assert polycore._np_mul([(1, *sparse)]) is None
+    assert [(c.relations, c.ran) for c in seen] == [(1, True), (None, False), (0, False)]
     assert dense_out == _dict_loop_product(p, q)
-    # the sparse box is past the bound, and the dict loop gives the product
     pairs = len(sparse[0].terms) * len(sparse[1].terms)
-    assert seen[1].cells > polycore._CELLS_PER_PAIR * pairs
+    assert seen[2].cells > polycore._CELLS_PER_PAIR * pairs
     assert sparse_out == _dict_loop_product(*sparse)
+
+
+def test_rank_bound_counts_the_narrowest_digits():
+    # homogeneous of degree 20 over x1..x4, x1 at most 1: a box of
+    # 3 x 41 x 41 x 41 cells, past 16 per pair, and total degree drops one
+    # 41-wide digit, leaving 3 x 41 x 41 within it.  A bound that dropped
+    # the widest digits the sampled rank allows, not the narrowest, would
+    # decline this sum.
+    rng = random.Random(5)
+    mons = [e for e in itertools.product(range(2), range(21), range(21), range(21)) if sum(e) == 20]
+    ends = [(0, 20, 0, 0), (0, 0, 20, 0), (0, 0, 0, 20), (1, 19, 0, 0)]
+    p, q = (Polynomial.from_exponents(U4, {e: rng.randint(1, 9) for e in ends + rng.sample(mons, 46)})
+            for _ in range(2))
+    pairs = len(p.terms) * len(q.terms)
+    assert 3 * 41**2 <= polycore._CELLS_PER_PAIR * pairs < 41**3
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_kernel(mp)
+        out = polycore._np_mul([(1, p, q)])
+    assert [(c.relations, c.cells, c.ran) for c in seen] == [(1, 3 * 41**2, True)]
+    assert out.terms == _dict_loop_product(p, q).terms
 
 
 def test_dense_reduction_with_keys_wider_than_64_bits():
@@ -760,9 +874,9 @@ def test_dense_accumulator_is_bounded_by_the_cell_cap():
     q = Polynomial.from_exponents(U4, {(0, 0, c, d): 1 + c + 2 * d for c in range(32) for d in range(32)})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polycore, "_DENSE_CELLS", 1 << 12)
-        mp.setattr(polycore, "_CHUNK_I64", 1 << 12)
+        mp.setattr(polycore, "_CHUNK", 1 << 12)
         seen = _spy_kernel(mp)
-        peak = _kernel_peak([(1, p, q), (-1, q, p)])
+        peak, _ = _kernel_peak([(1, p, q), (-1, q, p)])
     assert [(c.relations, c.ran) for c in seen] == [(0, True)]
     assert peak < 8 * 32**4 // 8
 
