@@ -30,8 +30,13 @@ sparse sums, small sums and runs without numpy.
 
 Exact division is recursive: long division in the divisor's most
 significant varying variable, each slice of the quotient an exact division
-by the divisor's leading slice, the subtractions ordinary products.  A
-divisor whose terms differ in at most one variable takes a heap loop.
+by the divisor's leading slice.  Each quotient slice owes its products
+with the divisor's other slices to lower slices of the remainder, and a
+remainder slice is formed only when it is the top one, by one
+`sum_of_products` of its dividend slice and the products it is owed.  A
+one-term divisor divides termwise; a divisor whose terms differ in at most
+one variable, and a division too small for the kernel, take a heap loop.
+Keys are read with numpy, not one at a time, from `_NP_MIN_KEYS` keys on.
 """
 
 from __future__ import annotations
@@ -278,9 +283,13 @@ class Polynomial:
     def var_maxes(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over all terms."""
         if self._vmax is None:
-            m, keys = self.u._mask, self.terms.keys()
-            self._vmax = tuple(max(map((m << sh).__and__, keys), default=0) >> sh
-                               for sh in self.u._shifts)
+            u, keys = self.u, self.terms.keys()
+            if _reads_keys(u, len(keys)):
+                keys = _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
+                self._vmax = tuple(int((keys & (u._mask << sh)).max()) >> sh for sh in u._shifts)
+            else:
+                self._vmax = tuple(max(map((u._mask << sh).__and__, keys), default=0) >> sh
+                                   for sh in u._shifts)
         return self._vmax
 
     def _norm_info(self):
@@ -420,7 +429,7 @@ class Polynomial:
             return Polynomial(self.u, {})
         # deg_x(q*h) = deg_x(q) + deg_x(h) in every variable x
         box = tuple(a - b for a, b in zip(self.var_maxes(), q.var_maxes()))
-        if min(box, default=0) < 0 or _leads_leave_box(self, q, box):
+        if min(box, default=0) < 0:
             raise NotDivisible("remainder nonzero")
         return _divide(self, q, box)
 
@@ -561,21 +570,30 @@ class Polynomial:
 
 def format_terms(u: Universe, keys: Sequence[int], coeffs: Iterable[Scalar]) -> str:
     """The text of a nonzero polynomial over `u` from its keys and their
-    coefficients, printed in the order given."""
-    # one lazily filled table per pair of variables, read at (k >> sh) & m
-    # for every key; tables of three variables miss on almost every term of
-    # a large determinant
+    coefficients, printed in the order given.
+
+    Monomials are printed two variables at a time, from one lazily filled
+    table per pair read at (k >> sh) & m; tables of three variables miss
+    on almost every term of a large determinant.  Terms are made and joined
+    a block of `_TEXT_BLOCK` at a time, so the text of every term is never
+    held at once; with numpy (`_reads_keys`), each block's table indices
+    are read by one shift and mask per pair."""
     groups = []
     for i in range(0, u.nvars, 2):
         names = u.names[i:i + 2]
-        tab = _Factors(names, u.bits)
-        sh, m = u._shifts[i + len(names) - 1], (1 << u.bits * len(names)) - 1
-        groups.append(map(tab.__getitem__, map(m.__and__, map(sh.__rrshift__, keys))))
-    terms = _term_texts(zip(coeffs, map("".join, zip(*groups))))
-    # joined a block at a time, so the text of every term is never held at once
+        groups.append((_Factors(names, u.bits).__getitem__, u._shifts[i + len(names) - 1],
+                       (1 << u.bits * len(names)) - 1))
+    vectorized = _reads_keys(u, len(keys))
+    coeffs = iter(coeffs)
     blocks = []
-    while block := "".join(itertools.islice(terms, _TEXT_BLOCK)):
-        blocks.append(block)
+    for a in range(0, len(keys), _TEXT_BLOCK):
+        block = keys[a:a + _TEXT_BLOCK]
+        if vectorized:
+            block = _np.array(block, dtype=_np.uint64)
+            cols = [map(tab, ((block >> sh) & m).tolist()) for tab, sh, m in groups]
+        else:
+            cols = [map(tab, map(m.__and__, map(sh.__rrshift__, block))) for tab, sh, m in groups]
+        blocks.append("".join(_term_texts(map("".join, zip(*cols)), coeffs)))
     # every term was printed with its separator: the first one's is its sign
     blocks[0] = blocks[0][3:] if blocks[0][1] == "+" else "-" + blocks[0][3:]
     return "".join(blocks)
@@ -585,10 +603,11 @@ def format_terms(u: Universe, keys: Sequence[int], coeffs: Iterable[Scalar]) -> 
 _TEXT_BLOCK = 4096
 
 
-def _term_texts(terms: Iterable[tuple[Scalar, str]]) -> Iterable[str]:
-    """Each term as " + body" or " - body", from its coefficient and its
-    monomial text (the factors, each with a trailing "*")."""
-    for c, mono in terms:
+def _term_texts(monos: Iterable[str], coeffs: Iterable[Scalar]) -> Iterable[str]:
+    """Each term as " + body" or " - body", from its monomial's text (the
+    factors, each with a trailing "*") and its coefficient, as many as
+    there are monomials."""
+    for mono, c in zip(monos, coeffs):
         neg = c < 0
         a = -c if neg else c
         mono = mono[:-1]
@@ -689,7 +708,7 @@ def _leads_leave_box(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> bool
             ep, eq = list(map(field.__and__, kp)), list(map(field.__and__, kq))
             pairs.add((kp[ep.index(max(ep))], kq[eq.index(max(eq))]))
             pairs.add((kp[~ep[::-1].index(min(ep))], kq[~eq[::-1].index(min(eq))]))
-    low, reach = sum(1 << sh for sh in u._shifts[:-1]), u.pack(box)
+    low, reach = _low_bits(u), u.pack(box)
     # lead(q) + reach has no field past the mask: lead(q)_i + box_i <= vmax_p_i
     return any(_exceeds(lq, lp, low) or _exceeds(lp, lq + reach, low) for lp, lq in pairs)
 
@@ -709,54 +728,55 @@ def _divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
     """p / q for nonzero p and q, or NotDivisible, as soon as the remainder
     shows it or a quotient term leaves `box` (per-variable exponent bounds).
 
-    Long division in x, the most significant variable in which q's terms
-    differ.  The remainder's top slice (its coefficient of the highest power
-    of x) is divided by q's leading slice, recursively, and that quotient
-    slice times each other slice of q is subtracted from the remainder's
-    slices in place; large products take the kernel.  When q's terms differ
-    in at most one variable, or p and q have fewer term pairs than a sum
-    needs to take the kernel (`_KERNEL_MIN_PAIRS`), the heap loop runs
-    instead.
+    A one-term q divides termwise.  When q's terms differ in at most one
+    variable, or p and q have fewer term pairs than a sum needs to take the
+    kernel (`_KERNEL_MIN_PAIRS`), the heap loop runs.  Otherwise, once the
+    lead terms allow a quotient in the box: long division in x, the most
+    significant variable in which q's terms differ.  Each quotient slice h
+    owes -h times each other slice of q to a lower slice of the remainder.
+    A remainder slice (its coefficient of one power of x) is formed only
+    when it is the top one, by one `sum_of_products` of its slice of p and
+    the products it is owed, which all came from higher slices; a nonzero
+    one is divided by q's leading slice, recursively.
     """
+    if len(q.terms) == 1:
+        return _term_divide(p, q, box)
     u = p.u
     m = u._mask
     varying = [i for i, sh in enumerate(u._shifts)
                if len(set(map((m << sh).__and__, q.terms))) > 1]
     if len(varying) < 2 or len(p.terms) * len(q.terms) < _KERNEL_MIN_PAIRS:
         return _heap_divide(p, q, box)
+    if _leads_leave_box(p, q, box):
+        raise NotDivisible("remainder nonzero")
     i = varying[0]
     field = m << u._shifts[i]
     s_max = box[i] << u._shifts[i]
     qs = _slices(q, field)
     top = max(qs)
-    lead = Polynomial(u, qs.pop(top))
-    rest = [(e - top, -Polynomial(u, t)) for e, t in qs.items()]
-    rem = _slices(p, field)
+    lead = qs.pop(top)
+    rest = [(e - top, t) for e, t in qs.items()]
+    one = Polynomial.const(u, 1)
+    owed = {e: [(1, t, one)] for e, t in _slices(p, field).items()}
     out: dict[int, Scalar] = {}
-    while rem:
-        e = max(rem)
+    while owed:
+        e = max(owed)
+        r = sum_of_products(u, owed.pop(e))
+        if not r.terms:
+            continue
         s = e - top
         if s < 0 or s > s_max:
             raise NotDivisible("remainder nonzero")
-        h = _divide(Polynomial(u, rem.pop(e)), lead, box)
+        h = _divide(r, lead, box)
         out.update({k + s: c for k, c in h.terms.items()})
-        for de, nq in rest:
-            t = e + de
-            # the product is new and the slices are the division's own, so
-            # the smaller is added into the larger in place
-            a, b = (h * nq).terms, rem.get(t, {})
-            if len(a) < len(b):
-                a, b = b, a
-            if _add_into(a, b):
-                rem[t] = a
-            else:
-                rem.pop(t, None)
+        for de, t in rest:
+            owed.setdefault(e + de, []).append((-1, h, t))
     return Polynomial(u, out)
 
 
-def _slices(p: Polynomial, field: int) -> dict[int, dict[int, Scalar]]:
+def _slices(p: Polynomial, field: int) -> dict[int, Polynomial]:
     """p's terms grouped by the value of one exponent field, which each
-    slice has cleared."""
+    slice has cleared, with their `var_maxes` set."""
     out: dict[int, dict[int, Scalar]] = {}
     for k, c in p.terms.items():
         e = k & field
@@ -764,22 +784,65 @@ def _slices(p: Polynomial, field: int) -> dict[int, dict[int, Scalar]]:
         if t is None:
             t = out[e] = {}
         t[k ^ e] = c
-    return out
+    slices = {e: Polynomial(p.u, t) for e, t in out.items()}
+    for t in slices.values():
+        t.var_maxes()
+    return slices
+
+
+def _quotient(c: Scalar, qc: Scalar) -> Scalar:
+    """c / qc, an int when it is one."""
+    if type(c) is int and type(qc) is int:
+        d, r = divmod(c, qc)
+        return d if r == 0 else Fraction(c, qc)
+    return _demote(Fraction(c) / qc)
+
+
+def _low_bits(u: Universe) -> int:
+    """The lowest bit of every exponent field but the last (`_exceeds`)."""
+    return sum(1 << sh for sh in u._shifts[:-1])
+
+
+def _term_divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
+    """p / q for a one-term q: every key shifted down by q's, every
+    coefficient divided by q's, and NotDivisible when a quotient term
+    leaves `box`."""
+    u = p.u
+    (qk, qc), = q.terms.items()
+    low = _low_bits(u)
+    # every key within q's key plus the box, field by field
+    if _exceeds(u.pack(p.var_maxes()), qk + u.pack(box), low):
+        raise NotDivisible("remainder nonzero")
+    out: dict[int, Scalar] = {}
+    for k, c in p.terms.items():
+        s = k - qk
+        if s < 0 or (s ^ k ^ qk) & low:  # _exceeds(qk, k, low)
+            raise NotDivisible("remainder nonzero")
+        out[s] = c
+    if qc != 1:
+        out = {k: _quotient(c, qc) for k, c in out.items()}
+    h = Polynomial(u, out)
+    h._vmax = tuple(map(operator.sub, p.var_maxes(), u.unpack(qk)))
+    return h
 
 
 def _heap_divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomial:
-    """p / q by leading terms, the remainder's largest key taken from a heap."""
+    """p / q by leading terms, the remainder's largest key taken from a heap.
+
+    A quotient term outside `box` raises NotDivisible.  A divisible p is
+    done within |p| + |q| pops in most cases; past them, the lead terms
+    are checked once (`_leads_leave_box`), so that a dividend whose box
+    allows minutes of work fails after little."""
     u = p.u
     qk, qc = q.leading()
-    lo = u.unpack(qk)
-    hi = tuple(a + b for a, b in zip(lo, box))
+    low = _low_bits(u)
+    hi = qk + u.pack(box)
     q_rest = [(k, c) for k, c in q.terms.items() if k != qk]
     r = dict(p.terms)
     heap = [-k for k in r]
     heapq.heapify(heap)
     out: dict[int, Scalar] = {}
-    unpack = u.unpack
-    qc_is_int = type(qc) is int
+    pops = len(p.terms) + len(q.terms)
     while r:
         while True:
             k = -heap[0]
@@ -787,17 +850,14 @@ def _heap_divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomi
                 break
             heapq.heappop(heap)
         c = r.pop(k)
-        # the quotient term k - qk must have every exponent in [0, box]
-        kf = unpack(k)
-        if any(map(operator.lt, kf, lo)) or any(map(operator.gt, kf, hi)):
-            raise NotDivisible("remainder nonzero")
         s = k - qk
-        if qc_is_int and type(c) is int:
-            d, mrem = divmod(c, qc)
-            cc = d if mrem == 0 else Fraction(c, qc)
-        else:
-            cc = _demote(Fraction(c) / qc if not isinstance(c, Fraction) else c / qc)
-        out[s] = cc
+        # the quotient term s must have every exponent in [0, box]
+        if s < 0 or (s ^ k ^ qk) & low or _exceeds(k, hi, low):
+            raise NotDivisible("remainder nonzero")
+        pops -= 1
+        if not pops and _leads_leave_box(p, q, box):
+            raise NotDivisible("remainder nonzero")
+        cc = out[s] = _quotient(c, qc)
         for k2, c2 in q_rest:
             kk = s + k2
             if kk in r:
@@ -818,6 +878,14 @@ def _heap_divide(p: Polynomial, q: Polynomial, box: tuple[int, ...]) -> Polynomi
 
 # the fewest term pairs of a sum that takes the numpy kernel
 _KERNEL_MIN_PAIRS = 4096
+# the fewest keys that are read with numpy rather than one at a time
+_NP_MIN_KEYS = 128
+
+
+def _reads_keys(u: Universe, n: int) -> bool:
+    """Whether n keys of `u` are read with numpy: it is there, there are
+    `_NP_MIN_KEYS` or more, and they fit in 64 bits."""
+    return _np is not None and n >= _NP_MIN_KEYS and u.bits * u.nvars <= 64
 
 
 def sum_of_products(u: Universe,

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from kalmanvar.polycore import Polynomial, Universe, x_universe
+from kalmanvar.polycore import Polynomial, Universe, a_universe, parse_polynomial, x_universe
 
 
 # -- scalar strategies ------------------------------------------------------
@@ -104,6 +105,22 @@ SYM_POWER_3X3_D2 = [
      "a23*a32 + a22*a33", "a23*a33"],
     ["a31^2", "2*a31*a32", "2*a31*a33", "a32^2", "2*a32*a33", "a33^2"],
 ]
+
+
+@pytest.fixture(scope="session")
+def dehomogenized_conic() -> tuple[Polynomial, Polynomial]:
+    """The benchmark's conic: det K_2 of x2^2 - x1*x3 with a11 = a33 = 1
+    (124,815 terms), and its eigenvector equation g2 specialized the same
+    way, which divides it."""
+    from kalmanvar.kalman import KalmanInstance, kalman_matrix
+    from kalmanvar.polymatrix import PolyMatrix
+    from kalmanvar.salmon import kalman_conic_equation
+
+    f = parse_polynomial("x2^2 - x1*x3", x_universe(3))
+    fixed = {"a11": 1, "a33": 1}
+    A = PolyMatrix.generic(3).map(lambda e: e.specialize(fixed))
+    det = kalman_matrix(KalmanInstance.from_form(f), A).det()
+    return det, kalman_conic_equation(f).convert(a_universe(3)).specialize(fixed)
 
 
 # -- acceptance reporting ----------------------------------------------------

@@ -291,6 +291,36 @@ def test_dehomogenized_conic_det_peak_memory():
     assert peak < 40 * 2**20
 
 
+def test_dehomogenized_conic_division_work_and_peak_memory(dehomogenized_conic, monkeypatch):
+    # dividing that determinant by g2 forms each remainder slice once, from
+    # its dividend slice and the products it is owed: the kernel takes at
+    # most the pairs of quotient * g2 plus one pair per dividend term, and
+    # the count repeats exactly.  Traced peaks: 12.5 MB for the division
+    # (14.3 MB with the slices edited in place) and 13.7 MB for printing,
+    # of which the text is 4.9 MB.  16 and 17 MB leave a quarter over them;
+    # an exponent matrix of the whole dividend adds 9 MB, and a list of
+    # every term's text about as much.
+    det, g2 = dehomogenized_conic
+    pairs = []
+    kernel = polycore._np_mul
+    monkeypatch.setattr(polycore, "_np_mul", lambda triples: pairs.append(
+        sum(len(p.terms) * len(q.terms) for _, p, q in triples)) or kernel(triples))
+    quotient = det.exact_div(g2)
+    first, pairs[:] = sum(pairs), []
+    tracemalloc.start()
+    try:
+        assert det.exact_div(g2) == quotient
+        division_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        det.to_text()
+        text_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(pairs) == first <= len(quotient.terms) * len(g2.terms) + len(det.terms)
+    assert division_peak < 16 * 2**20
+    assert text_peak < 17 * 2**20
+
+
 class _Reached(Exception):
     pass
 

@@ -104,10 +104,11 @@ def test_print_parse_roundtrip_examples():
         assert parse_polynomial(p.to_text(), U3) == p
 
 
-def _reference_text(p: Polynomial) -> str:
-    """The text grammar, spelled out term by term."""
+def _reference_text(p: Polynomial, keys=None) -> str:
+    """The text grammar, spelled out term by term, in the order of `keys`
+    (by default descending)."""
     parts = []
-    for k in sorted(p.terms, reverse=True):
+    for k in sorted(p.terms, reverse=True) if keys is None else keys:
         c = p.terms[k]
         factors = [nm if e == 1 else f"{nm}^{e}" for nm, e in zip(p.u.names, p.u.unpack(k)) if e]
         shown = [] if abs(c) == 1 and factors else [str(abs(c))]
@@ -135,13 +136,29 @@ def test_to_text_matches_reference_formatter(seed, u):
 
 
 B = polycore._TEXT_BLOCK
+# the ways keys are read for their text: with numpy at any size, one at a
+# time at any size, and without numpy
+READINGS = {"numpy": {"_NP_MIN_KEYS": 1}, "pure": {"_NP_MIN_KEYS": math.inf},
+            "no numpy": {"_np": None}}
+
+
+def _by_reading(text) -> dict[str, str]:
+    """text() under each of READINGS."""
+    out = {}
+    for reading, attrs in READINGS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in attrs.items():
+                mp.setattr(polycore, name, value)
+            out[reading] = text()
+    return out
 
 
 @pytest.mark.parametrize("first_negative", [True, False], ids=["first -", "first +"])
 @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 3 * B + 5])
 def test_format_terms_block_seams(count, first_negative):
     # terms are joined a block of B at a time; every block's first term is
-    # negative, and so, or not, is the first term of the text
+    # negative, and so, or not, is the first term of the text; each reading
+    # of the keys gives the same text
     u = x_universe(2)
     keys = sorted((u.pack((i // 128, i % 128)) for i in range(count)), reverse=True)
     coeffs = [(-1) ** i * (1 + i % 7) for i in range(count)]
@@ -149,7 +166,50 @@ def test_format_terms_block_seams(count, first_negative):
         coeffs[start] = -abs(coeffs[start])
     coeffs[0] = -1 if first_negative else 1
     p = Polynomial(u, dict(zip(keys, coeffs)))
-    assert polycore.format_terms(u, keys, coeffs) == _reference_text(p) == p.to_text()
+    texts = _by_reading(lambda: polycore.format_terms(u, keys, coeffs))
+    assert set(texts.values()) == {_reference_text(p)}
+    assert p.to_text() == _reference_text(p)
+
+
+def _text_case(case: str) -> tuple[Polynomial, list[int]]:
+    """A polynomial of a few hundred terms and its keys in printing order."""
+    if case == "chow":
+        cls = kalmanvar.chow.class_W(6, 3)  # 216 terms, 7-bit fields, graded order
+        return cls.poly, cls.graded_keys()
+    u = {"x": x_universe(5), "a3": a_universe(3), "t": t_universe(), "a4": a_universe(4)}[case]
+    rng = random.Random(case)
+
+    def exponent():
+        return rng.randint(0, 10**9) if case == "t" else rng.choice([0, 0, 1, 2, 11, 127])
+
+    coeffs = [1, -1, 3, -17, 10**20, -(10**30), Fraction(1, 2), Fraction(-5, 3)]
+    p = Polynomial.from_exponents(u, {tuple(exponent() for _ in range(u.nvars)): rng.choice(coeffs)
+                                      for _ in range(300)})
+    return p, sorted(p.terms, reverse=True)
+
+
+@pytest.mark.parametrize("case", ["x", "a3", "t", "chow", "a4"])
+def test_block_reading_matches_the_pure_reading(case):
+    # 32-bit fields (t), an odd last group of variables (x1..x5, a11..a33)
+    # and keys of 128 bits (a_universe(4)), which only the pure reading takes
+    p, keys = _text_case(case)
+    assert len(keys) >= 128
+    texts = _by_reading(lambda: polycore.format_terms(p.u, keys, map(p.terms.__getitem__, keys)))
+    assert set(texts.values()) == {_reference_text(p, keys)}
+    if case == "a4":
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polycore, "_NP_MIN_KEYS", 1)
+            mp.setattr(polycore, "_np", _NoNumpy())
+            assert polycore.format_terms(p.u, keys, map(p.terms.__getitem__, keys)) == texts["pure"]
+
+
+def test_small_texts_take_the_pure_reading():
+    p = P("x1 + x2 + x3 - 1/2") ** 5  # 56 terms, below _NP_MIN_KEYS
+    assert len(p.terms) < polycore._NP_MIN_KEYS
+    expect = _reference_text(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_np", _NoNumpy())
+        assert p.to_text() == expect
 
 
 @pytest.mark.parametrize("bad", ["x1 +", "x4", "x1^^2", "x1**2", "(", "x1 x2", ""])
@@ -372,6 +432,80 @@ def test_recursive_division_recovers_the_cofactor(kind, data):
     assert all(type(c) is type(h.terms[k]) for k, c in q.terms.items())
 
 
+def _free_of_x1(coeffs):
+    exps = st.tuples(st.just(0), *[st.integers(min_value=0, max_value=2)] * 3)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=5).map(
+        lambda m: Polynomial.from_exponents(U4, m))
+
+
+@pytest.mark.parametrize("kind", sorted(DIV_COEFFS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lazy_division_forms_every_remainder_slice(kind, data):
+    # g = m + g0, m = c*x1*(a monomial) and g0 free of x1: long division in
+    # x1 by the one-term lead slice m/x1, c not a unit, so quotients are
+    # Fractions unless c divides.  h = t*(m - g0) + w*x1^3 makes g*h's x1^3
+    # slice cancel against the product w*x1^3 owes it, and leaves g*h no
+    # x1 slice for the owed -t*g0*m to meet.
+    coeffs = DIV_COEFFS[kind]
+    c = data.draw(coeffs.filter(lambda c: abs(c) != 1))
+    m = Polynomial.from_exponents(U4, {(1, *data.draw(st.tuples(*[st.integers(0, 2)] * 3))): c})
+    g0 = data.draw(_free_of_x1(coeffs).filter(lambda g0: _varying(m + g0) >= 2))
+    t, w = data.draw(_free_of_x1(coeffs)), data.draw(_free_of_x1(coeffs))
+    x1 = P("x1", U4)
+    h = t * (m - g0) + w * x1 ** 3
+    g = m + g0
+    p = g * h
+    assert not any(U4.unpack(k)[0] == 1 for k in p.terms)
+    sums, spy_sum = [], polycore.sum_of_products
+
+    def spied_sum(u, triples):
+        r = spy_sum(u, triples)
+        sums.append(({sign for sign, _, _ in triples}, r))
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_KERNEL_MIN_PAIRS", 1)  # the kernel's route at any size
+        mp.setattr(polycore, "sum_of_products", spied_sum)
+        q = p.exact_div(g)
+    assert q.terms == h.terms
+    assert all(type(cq) is type(h.terms[k]) for k, cq in q.terms.items())
+    # a slice with terms of p that cancels, and a nonzero one of owed products alone
+    assert any(1 in signs and not r.terms for signs, r in sums)
+    assert any(signs == {-1} and r.terms for signs, r in sums)
+
+
+def test_lazy_division_sums_once_per_remainder_slice(dehomogenized_conic, monkeypatch):
+    det, g2 = dehomogenized_conic
+    u = det.u
+    # long division in the first variable g2 varies in; its lead slice is one term
+    i = next(i for i in range(u.nvars) if len({u.unpack(k)[i] for k in g2.terms}) > 1)
+    top = max(u.unpack(k)[i] for k in g2.terms)
+    assert sum(u.unpack(k)[i] == top for k in g2.terms) == 1
+    depth, sums = [0], []
+    divide, spy_sum = polycore._divide, polycore.sum_of_products
+
+    def spied_divide(p, q, box):
+        depth[0] += 1
+        try:
+            return divide(p, q, box)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(polycore, "_divide", spied_divide)
+    monkeypatch.setattr(polycore, "sum_of_products",
+                        lambda u, triples: sums.append(depth[0]) or spy_sum(u, triples))
+    monkeypatch.setattr(polycore, "_add_into", lambda a, b: pytest.fail("_add_into in a division"))
+    quotient = det.exact_div(g2)
+    monkeypatch.undo()
+    assert quotient * g2 == det
+    # the remainder's slices are the x_i-degrees of quotient * g2: one sum
+    # each, at the top level, and none at the termwise level below it
+    degrees = {a + b for a in {u.unpack(k)[i] for k in quotient.terms}
+               for b in {u.unpack(k)[i] for k in g2.terms}}
+    assert sums == [1] * len(degrees)
+
+
 # a dividend whose quotient box allows minutes of long division; the lead
 # terms reject it at once
 FOUND_G = parse_polynomial("-7/2*x1^2*x2^2*x3^2 - 14/5*x1*x2^2*x3 - 15/7*x1*x2 + x1*x3"
@@ -402,6 +536,27 @@ def test_non_divisible_found_input_fails_fast(monkeypatch):
     box = tuple(a - b for a, b in zip(p.var_maxes(), FOUND_G.var_maxes()))
     monkeypatch.setattr(polycore, "_KERNEL_MIN_PAIRS", 1)
     assert polycore._leads_leave_box(p, FOUND_G, box)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=DIV_ANY, e=st.tuples(*[st.integers(0, 2)] * 3), c=st.one_of(*DIV_COEFFS.values()))
+def test_term_division_checks_every_key(p, e, c):
+    # a one-term divisor: p's terms shifted and divided one by one, or
+    # NotDivisible when some term has an exponent below the divisor's
+    g = Polynomial.from_exponents(U3, {e: c})
+    expect = {}
+    for k, pc in p.terms.items():
+        f = tuple(a - b for a, b in zip(U3.unpack(k), e))
+        expect[f] = Fraction(pc) / c
+    if min(min(f) for f in expect) < 0:
+        with pytest.raises(NotDivisible):
+            p.exact_div(g)
+    else:
+        q = p.exact_div(g)
+        assert q == Polynomial.from_exponents(U3, expect)
+        assert all(type(qc) is (int if Fraction(qc).denominator == 1 else Fraction)
+                   for qc in q.terms.values())
+        assert q.var_maxes() == tuple(map(max, zip(*map(U3.unpack, q.terms))))
 
 
 def test_lead_terms_never_reject_a_product(monkeypatch):
@@ -442,24 +597,35 @@ def test_packed_comparison_matches_the_exponents(u):
 
 
 def test_division_routes_by_the_divisor_variables(monkeypatch):
-    divisors = []
-    heap = polycore._heap_divide
-    monkeypatch.setattr(polycore, "_heap_divide",
-                        lambda p, q, box: divisors.append(q) or heap(p, q, box))
+    routes = []
+    for name in ("_heap_divide", "_term_divide"):
+        monkeypatch.setattr(polycore, name, lambda p, q, box, name=name, fn=getattr(polycore, name):
+                            routes.append((name, q)) or fn(p, q, box))
     h = P("x1*x2 + x3^2 - 1/2")
     g = P("x1^3 - 2*x1 + 5")  # univariate: the heap loop takes the whole division
     assert (g * h).exact_div(g) == h
-    assert divisors == [g]
-    divisors.clear()
+    assert routes == [("_heap_divide", g)]
+    routes.clear()
     g = P("x1^2*x2 - x2*x3 + 3*x3^2 + x1")
     # three variables, but 11 x 4 term pairs, too few for the kernel: the heap loop
     assert (g * h).exact_div(g) == h
-    assert divisors == [g]
-    divisors.clear()
+    assert routes == [("_heap_divide", g)]
+    routes.clear()
     h = P("x1 + x2 + x3 - 1/2") ** 14  # 1061 x 4 term pairs: recursion first
     assert (g * h).exact_div(g) == h
-    assert divisors and g not in divisors
-    assert all(_varying(q) <= 1 for q in divisors)
+    # g's leading x1-slice is the one term x2: each quotient slice is termwise
+    assert routes and {r for r, _ in routes} == {"_term_divide"}
+    assert all(q == P("x2") for _, q in routes)
+    routes.clear()
+    g = P("x1^2*x2 - 2*x1^2*x3 - x2*x3 + 3*x3^2 + x1")
+    # a leading x1-slice x2 - 2*x3 of two terms, too few pairs for the
+    # kernel with any slice: the heap loop divides by it
+    assert (g * h).exact_div(g) == h
+    assert routes and set(routes) == {("_heap_divide", P("x2 - 2*x3"))}
+    routes.clear()
+    g = P("-3*x1*x2^2")  # one term: shifted and divided termwise, at any size
+    assert (g * h).exact_div(g) == h
+    assert routes == [("_term_divide", g)]
 
 
 # -- ring axioms (property) ------------------------------------------------------
