@@ -21,10 +21,13 @@ partition.  Everything is exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import os
 import random
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +48,10 @@ from .polycore import (
 )
 from .polymatrix import (
     DimensionMismatch,
+    NonSquareMatrix,
     PolyMatrix,
+    bareiss_det,
     char_poly_coeffs,
-    _integer_rows,
-    qmat_det,
     qmat_rank,
 )
 from .veronese import (
@@ -176,35 +179,78 @@ def check_kalman_matrix_size(inst: KalmanInstance) -> None:
             f"the limit is MAX_KALMAN_TERMS = {MAX_KALMAN_TERMS}")
 
 
-def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """kalman_matrix evaluated at a rational matrix, computed in integer
-    arithmetic throughout (no symbolic detour).
+def _krylov_rows(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]):
+    """Yield every row of kalman_matrix(inst, A0), block by block, as
+    (v, num, den): the row is num/den * v, with v a primitive integer row
+    (content 1; a zero row has num = 0).
 
     With c the lcm of the denominators of A0, rho_d(c A0) = c^d rho_d(A0)
-    has integer entries, and so do the rows of C once each is multiplied by
-    the lcm s_j of its denominators.  Block i is iterated as the integer
-    rows s_j C_j rho_d(c A0)^i and divided back by s_j c^(d i), so entries
-    are the exact values of C rho_d(A0)^i (integral ones as ints).
+    has integer entries.  Each row of C, cleared of its denominators, is
+    iterated as v <- v rho_d(c A0), divided by its content as it is formed,
+    so the entries grow by the matrix alone, not by the powers of c^d and
+    of the contents that the exact row carries; num/den absorbs both.
     """
     if len(A0) != inst.n or any(len(r) != inst.n for r in A0):
         raise DimensionMismatch(f"A0 must be {inst.n}x{inst.n}")
     c = math.lcm(*(x.denominator for r in A0 for x in r))
     cols = list(zip(*sym_power_scalar(
         [[x.numerator * (c // x.denominator) for x in r] for r in A0], inst.d)))
-    block, scales = _integer_rows(inst.C)
-    rows = [list(r) for r in inst.C]
     cd = c ** inst.d
+    block = []
+    for r in inst.C:
+        s = math.lcm(*(x.denominator for x in r))
+        v = [x.numerator * (s // x.denominator) for x in r]
+        g = math.gcd(*v)  # nonzero: C has full row rank
+        block.append(([x // g for x in v], g, s))
+    yield from block
     for _ in range(inst.N - inst.p):
-        block = [[sum(map(operator.mul, r, col)) for col in cols] for r in block]
-        scales = [s * cd for s in scales]
-        for r, s in zip(block, scales):
-            rows.append(r if s == 1 else [_demote(Fraction(x, s)) for x in r])
+        nxt = []
+        for v, num, den in block:
+            w = [sum(map(operator.mul, v, col)) for col in cols]
+            g = math.gcd(*w)
+            nxt.append((w if g < 2 else [x // g for x in w], num * g, den * cd))
+        block = nxt
+        yield from block
+
+
+def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """kalman_matrix evaluated at a rational matrix, computed in integer
+    arithmetic throughout (no symbolic detour): the rows of C, then the
+    rows of `_krylov_rows` scaled back to their exact values (integral ones
+    as ints)."""
+    rows = [list(r) for r in inst.C]
+    for v, num, den in itertools.islice(_krylov_rows(inst, A0), inst.p, None):
+        m = Fraction(num, den)
+        if m.denominator == 1:
+            rows.append([m.numerator * x for x in v])
+        else:
+            rows.append([_demote(Fraction(m.numerator * x, m.denominator)) for x in v])
     return rows
 
 
-# The largest N whose symbolic det K_d is computed: the binary sextic
-# (N = 7) takes 35-38 s on a 2-core Xeon, 32 s of it in two kernel calls
-# on exact Python ints, and nothing larger has ever finished.
+def kalman_det_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> Scalar:
+    """det K(A0) of a single-form instance, equal to
+    qmat_det(kalman_matrix_at(inst, A0)): one Bareiss elimination of the
+    primitive rows of `_krylov_rows`, times the product of their
+    multipliers.  Raises NonSquareMatrix for p > 1."""
+    if inst.p != 1:
+        raise NonSquareMatrix(
+            f"K has {inst.p * (inst.N - inst.p + 1)} rows and {inst.N} columns; "
+            "its determinant needs a single form")
+    rows, num, den = [], 1, 1
+    for v, a, b in _krylov_rows(inst, A0):
+        rows.append(v)
+        num *= a
+        den *= b
+    return _demote(Fraction(bareiss_det(rows, 0) * num, den))
+
+
+# The largest N whose symbolic det K_d is computed.  At N = 7 (binary
+# sextics) the time depends on the form's support: on a 2-core Xeon the
+# 3-term x1^6 + 2*x1*x2^5 - 3*x2^6 takes 35-38 s, and the 5-term
+# x1^6 + 2*x1^5*x2 - 3*x1^3*x2^3 + x1*x2^5 - 5*x2^6 166-170 s and 116 MB,
+# most of it in kernel calls on exact Python ints.  Nothing larger has
+# ever finished.
 MAX_DET_N = 7
 
 # Least-recently-used determinants; one entry can hold ~700k terms (the
@@ -357,12 +403,12 @@ def _generic_draw(rng: random.Random, n: int, d: int,
     raise RetryExhausted("rejection sampling found no generic draw")
 
 
-def _det_case(case: dict, inst: KalmanInstance, A, vanishes: bool) -> dict:
-    """case with det K(A) recorded; it passes when the determinant vanishes
-    exactly as `vanishes` says."""
-    val = qmat_det(kalman_matrix_at(inst, A))
-    case["status"] = "pass" if (val == 0) == vanishes else "fail"
-    case["det_value"] = _decimal(val)
+def _owe_det(owed: list, case: dict, A, vanishes: bool) -> dict:
+    """case, with its status and det_value left for `factorization_audit`
+    to fill in once det K(A) is known; it passes when the determinant
+    vanishes exactly as `vanishes` says."""
+    case.update(status=None, det_value=None)
+    owed.append((case, A, vanishes))
     return case
 
 
@@ -387,25 +433,55 @@ def _decimal(v: Scalar) -> str:
 
 
 def _case_assertion(name: str, witness_seed: int, cases: list[dict]) -> dict:
-    """An assertion over cases, as severe as its worst case."""
-    return {"assertion": name, "status": _worst(c["status"] for c in cases),
+    """An assertion over cases, as severe as its worst case; its status is
+    left for `factorization_audit` to fill in with theirs."""
+    return {"assertion": name, "status": None,
             "witness_seed": witness_seed, "certificate": {"cases": cases}}
 
 
 # The largest audit, as a bound on its work: each of its len(partitions) +
 # 2*trials determinants is a Bareiss elimination of an N x N Kalman matrix
-# at a rational matrix, whose entries grow with d and N.  On a 2-core Xeon
-# a unit took 0.7-1.6 ns: N = 20, d = 3 at 20 trials (1.2e9 units, the
-# largest benchmark audit) took 0.9 s, and N = 35, d = 4 at 1 trial (5.9e9)
-# 5.0 s.
+# at a rational matrix, whose entries grow with d and N.  On a 2-core Xeon,
+# with the determinants on two worker processes (`_det_values`), a unit
+# took 0.5-0.6 ns: N = 20, d = 3 at 20 trials (1.2e9 units, the largest
+# benchmark audit) took 0.6 s, and N = 35, d = 4 at 1 trial (5.9e9)
+# 3.3-3.4 s.  Serially they took 1.0 s and 5.2 s.
 MAX_AUDIT_WORK = 10 ** 10
 
+# The audit work, in the units of MAX_AUDIT_WORK, from which the
+# determinants are spread over worker processes: below it, forking them
+# costs more than it saves.  On a 2-core Xeon the pooled audit took as long
+# as the serial one at 3.9e7 units (N = 10 at 20 trials: 72-95 ms against
+# 83-89 ms) and a quarter less at 1.3e8 (N = 15 at 20 trials: 194 ms
+# against 267 ms).
+_POOL_MIN_WORK = 10 ** 8
 
-def _trial_assertion(name: str, inst: KalmanInstance, seed: int, base: int,
-                     trials: int, draw, vanishes: bool) -> dict:
+
+def _det_values(inst: KalmanInstance, mats: list, work: int) -> list[Scalar]:
+    """kalman_det_at(inst, A) for every A in mats, in order.  From
+    _POOL_MIN_WORK on they run on forked worker processes, one per CPU this
+    process may use and at most one per matrix, which are gone before this
+    returns.  They run serially below it, on one CPU, where fork is
+    unavailable, and in a process with other threads, which a fork could
+    leave holding a lock in the children."""
+    det = functools.partial(kalman_det_at, inst)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(mats))
+    if (work < _POOL_MIN_WORK or workers < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [det(A) for A in mats]
+    # imported here, as every import of the package would pay ~2 MB and ~10 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(det, mats))
+
+
+def _trial_assertion(name: str, owed: list, seed: int, base: int, trials: int,
+                     draw, vanishes: bool) -> dict:
     """An assertion over `trials` seeded draws (lams, V) = draw(rng), each
-    a case of det K at A = V diag(lams) V^-1 that passes when the
-    determinant vanishes exactly as `vanishes` says."""
+    a case of det K at A = V diag(lams) V^-1 owed to `owed` (`_owe_det`)."""
     cases = []
     for j in range(trials):
         ws = derive_seed(seed, base + j)
@@ -417,7 +493,7 @@ def _trial_assertion(name: str, inst: KalmanInstance, seed: int, base: int,
             continue
         A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
         case["eigenvalues"] = [str(l) for l in lams]
-        cases.append(_det_case(case, inst, A, vanishes))
+        cases.append(_owe_det(owed, case, A, vanishes))
     return _case_assertion(name, derive_seed(seed, base), cases)
 
 
@@ -465,6 +541,10 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
                            "witness_seed": None,
                            "certificate": {"error": str(e)}})
 
+    # every case is drawn first, and the determinants the cases owe are
+    # evaluated together once all are drawn
+    owed: list = []
+
     # vanishing at one exact witness per partition
     cases = []
     for k, mu in enumerate(mus):
@@ -475,8 +555,9 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
         except (UnsupportedPartition, NoStrategy, RetryExhausted) as e:
             cases.append(dict(case, status="error", reason=str(e)))
             continue
-        cases.append(dict(_det_case(case, inst, w.A, vanishes=True),
-                          certificate=w.certificate))
+        _owe_det(owed, case, w.A, vanishes=True)
+        case["certificate"] = w.certificate
+        cases.append(case)
     assertions.append(_case_assertion("mu_witness_vanishing",
                                       derive_seed(seed, 1_000_000), cases))
 
@@ -490,15 +571,22 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
         })
     else:
         assertions.append(_trial_assertion(
-            "collision_vanishing", inst, seed, 2_000_000, trials,
+            "collision_vanishing", owed, seed, 2_000_000, trials,
             lambda rng: (collision_eigenvalues(rng, n, d), random_invertible(rng, n)),
             vanishes=True))
 
     # nonvanishing at generic diagonalizable matrices away from all factors
     polarizations = [(mu.s, polarize(f, mu)) for mu in mus]
     assertions.append(_trial_assertion(
-        "generic_nonvanishing", inst, seed, 3_000_000, trials,
+        "generic_nonvanishing", owed, seed, 3_000_000, trials,
         lambda rng: _generic_draw(rng, n, d, polarizations), vanishes=False))
+
+    for (case, _, vanishes), val in zip(owed, _det_values(inst, [A for _, A, _ in owed], work)):
+        case["status"] = "pass" if (val == 0) == vanishes else "fail"
+        case["det_value"] = _decimal(val)
+    for a in assertions:
+        if a["status"] is None:
+            a["status"] = _worst(c["status"] for c in a["certificate"]["cases"])
 
     return {
         "n": n,

@@ -217,10 +217,6 @@ class PolyMatrix:
         coeffs[-1] = Polynomial.const(self.u, 1)
         return coeffs
 
-    def rank_at(self, point: Sequence[Scalar]) -> int:
-        """Exact rank of the scalar matrix obtained by evaluation."""
-        return qmat_rank(self.evaluate(point))
-
     # -- text and JSON forms ----------------------------------------------
 
     def to_text(self) -> str:
@@ -369,12 +365,6 @@ def qmat_inv(A: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
         inv[i] = [Fraction(row[n + k] - sum(row[j] * inv[j][k] for j in range(i + 1, n)), row[i])
                   for k in range(n)]
     return [[_demote(x) for x in row] for row in inv]
-
-
-def qmat_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Scalar]:
-    """Solve A x = b exactly (A square invertible)."""
-    inv = qmat_inv(A)
-    return qmat_vec(inv, b)
 
 
 def char_poly_coeffs(A: Sequence[Sequence]) -> list:

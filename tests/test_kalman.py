@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
 import random
+import threading
 import tracemalloc
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -32,19 +37,21 @@ from kalmanvar.kalman import (
     factor_order_along_line,
     factorization_audit,
     kalman_det,
+    kalman_det_at,
     kalman_matrix,
     kalman_matrix_at,
     membership_necessary,
 )
 from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
-from kalmanvar.polymatrix import PolyMatrix, qmat_det, qmat_mul, qmat_rank
+from kalmanvar.polymatrix import NonSquareMatrix, PolyMatrix, qmat_det, qmat_mul, qmat_rank
 from kalmanvar.salmon import kalman_conic_equation
-from kalmanvar.veronese import basis_size, sym_power_scalar
+from kalmanvar.veronese import basis_size, monomial_basis, sym_power_scalar
 from kalmanvar.witness import (
     matrix_with_eigenvectors,
     EigenSpec,
     derive_seed,
     random_invertible,
+    rho_simple_eigenvalues,
     special_locus_matrix,
 )
 
@@ -162,15 +169,81 @@ def _test_matrices(rng, n):
     return ints, fracs, singular
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
-def test_kalman_matrix_at_matches_fraction_products(n, d):
-    rng = random.Random(100 * n + d)
-    u = x_universe(n)
+def _random_instance(rng, n, d):
+    """The single-form instance of four random terms minus x_n^d."""
     terms = " + ".join(f"{rng.randint(1, 9)}*" + "*".join(f"x{rng.randint(1, n)}" for _ in range(d))
                        for _ in range(4))
-    inst = KalmanInstance.from_form(parse_polynomial(f"{terms} - x{n}^{d}", u))
+    return KalmanInstance.from_form(parse_polynomial(f"{terms} - x{n}^{d}", x_universe(n)))
+
+
+SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_kalman_matrix_at_matches_fraction_products(n, d):
+    rng = random.Random(100 * n + d)
+    inst = _random_instance(rng, n, d)
     for A0 in _test_matrices(rng, n):
         _assert_same_entries(kalman_matrix_at(inst, A0), _kalman_matrix_at_fractions(inst, A0))
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_kalman_det_at_matches_qmat_det(n, d):
+    rng = random.Random(100 * n + d)
+    inst = _random_instance(rng, n, d)
+    zero = [[0] * n for _ in range(n)]  # K's rows past C vanish
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]  # K's rows all equal C
+    for A0 in [*_test_matrices(rng, n), zero, identity]:
+        want = qmat_det(kalman_matrix_at(inst, A0))
+        got = kalman_det_at(inst, A0)
+        assert got == want and type(got) is type(want)
+    assert kalman_det_at(inst, zero) == kalman_det_at(inst, identity) == 0
+
+
+def test_kalman_det_at_needs_one_form():
+    u = x_universe(3)
+    inst = KalmanInstance.from_generators([parse_polynomial("x1^2 - x2*x3", u),
+                                           parse_polynomial("x1*x2 + 3/2*x3^2", u)])
+    with pytest.raises(NonSquareMatrix, match="needs a single form"):
+        kalman_det_at(inst, _test_matrices(random.Random(7), 3)[0])
+
+
+def _leibniz_det(M):
+    """det M by the permutation expansion: no elimination."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("form,n", [
+    ("x2^2 - x1*x3", 3),
+    ("x1^2 - 3*x1*x2 + 2*x2^2", 2),
+    ("x1^3 + 2*x1*x2^2 - x2^3", 2),
+    ("x1^3 - x2^3 + x1*x2*x3", 3),
+])
+def test_kalman_det_at_matches_eigen_product(form, n):
+    # with A = V D V^-1, rho_d(A)^i = W M^i W^-1 for W = rho_d(V) and the
+    # diagonal M = rho_d(D) = diag(mu), so K = Vand(mu) diag(C W) W^-1 with
+    # the powers mu_m^i as rows; det W = det(V)^(d N / n).  The sign is +1,
+    # checked first on the conic.
+    inst = KalmanInstance.from_form(parse_polynomial(form, x_universe(n)))
+    d, N = inst.d, inst.N
+    rng = random.Random(N)
+    nonzero = 0
+    for _ in range(6):
+        lams, V = rho_simple_eigenvalues(rng, n, d), random_invertible(rng, n)
+        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
+        mus = [math.prod(l ** e for l, e in zip(lams, exps)) for exps in monomial_basis(n, d)]
+        W = sym_power_scalar(V, d)
+        CW = [sum(c * W[k][m] for k, c in enumerate(inst.C[0])) for m in range(N)]
+        vand = math.prod(mus[b] - mus[a] for a in range(N) for b in range(a + 1, N))
+        want = Fraction(math.prod(CW) * vand) / Fraction(_leibniz_det(V)) ** (d * N // n)
+        assert kalman_det_at(inst, A) == want
+        nonzero += want != 0
+    assert nonzero >= 3
 
 
 def test_kalman_matrix_at_matches_fraction_products_two_forms():
@@ -622,6 +695,85 @@ def test_audit_report_is_byte_identical(text, n, seed):
     rep = factorization_audit(parse_polynomial(text, x_universe(n)), trials=3, seed=seed)
     digest = hashlib.sha256(json.dumps(rep, indent=2).encode()).hexdigest()
     assert digest == AUDIT_DIGESTS[text, n, seed]
+
+
+class _SpyExecutor(ProcessPoolExecutor):
+    """The audit's process pool, counting how many are built."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Audits of any size on a pool of two forked workers."""
+    monkeypatch.setattr(kalman, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(kalman.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_SpyExecutor, "built", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyExecutor)
+    return _SpyExecutor
+
+
+@pytest.mark.parametrize("text,n", [("x2^2 - x1*x3", 3), ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 3)])
+def test_pooled_audit_matches_serial(pooled, text, n):
+    f = parse_polynomial(text, x_universe(n))
+    rep = factorization_audit(f, trials=4, seed=5)
+    assert pooled.built == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kalman, "_POOL_MIN_WORK", 10 ** 30)
+        serial = factorization_audit(f, trials=4, seed=5)
+    assert pooled.built == 1
+    assert json.dumps(rep) == json.dumps(serial)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1  # the next audit may fork again
+
+
+def test_pooled_audit_leaves_no_process_when_a_determinant_raises(pooled, monkeypatch):
+    def planted(rows, zero):  # runs in the forked workers
+        raise ZeroDivisionError("planted fault")
+
+    monkeypatch.setattr(kalman, "bareiss_det", planted)
+    with pytest.raises(ZeroDivisionError, match="planted fault"):
+        factorization_audit(F32, trials=3, seed=0)
+    assert pooled.built == 1
+    assert multiprocessing.active_children() == []
+
+
+# the conic's audit at 3 trials: 2 partitions, N = 6, d = 2
+F32_WORK = (2 + 2 * 3) * 6 ** 5 * 2 ** 2
+
+
+@pytest.mark.parametrize("threshold,built", [(F32_WORK, 1), (F32_WORK + 1, 0)])
+def test_audit_pools_from_the_threshold(pooled, monkeypatch, threshold, built):
+    monkeypatch.setattr(kalman, "_POOL_MIN_WORK", threshold)
+    assert factorization_audit(F32, trials=3, seed=0)["status"] == "pass"
+    assert pooled.built == built
+
+
+@pytest.mark.parametrize("setting", ["one CPU", "no fork"])
+def test_audit_runs_serially_without_a_second_cpu_or_fork(pooled, monkeypatch, setting):
+    if setting == "one CPU":
+        monkeypatch.setattr(kalman.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(kalman.os, "fork")
+    assert factorization_audit(F32, trials=3, seed=0)["status"] == "pass"
+    assert pooled.built == 0
+
+
+def test_audit_runs_serially_beside_another_thread(pooled):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert factorization_audit(F32, trials=3, seed=0)["status"] == "pass"
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert pooled.built == 0
 
 
 # -- special locus matrices ---------------------------------------------------------------

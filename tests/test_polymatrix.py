@@ -22,7 +22,6 @@ from kalmanvar.polymatrix import (
     qmat_inv,
     qmat_mul,
     qmat_rank,
-    qmat_solve,
     qmat_vec,
 )
 
@@ -144,12 +143,6 @@ def test_total_terms_and_evaluate():
     assert vals == [[3, 0], [3, 5]]
 
 
-def test_rank_at():
-    m = PM("x1 | x2\nx2 | x1")
-    assert m.rank_at((Fraction(1), Fraction(1), Fraction(0))) == 1
-    assert m.rank_at((Fraction(2), Fraction(1), Fraction(0))) == 2
-
-
 # -- characteristic polynomial -----------------------------------------------------
 
 
@@ -206,7 +199,6 @@ def test_qmat_oracles():
     assert qmat_rank(a) == 2
     inv = qmat_inv(a)
     assert qmat_mul(a, inv) == qmat_identity(2)
-    assert qmat_solve(a, [Fraction(3), Fraction(2)]) == [1, 1]
     assert qmat_vec(a, [Fraction(1), Fraction(0)]) == [2, 1]
 
 
@@ -216,8 +208,6 @@ def test_qmat_rank_deficient():
     assert qmat_det(a) == 0
     with pytest.raises(SingularMatrixError):
         qmat_inv(a)
-    with pytest.raises(SingularMatrixError):
-        qmat_solve(a, [Fraction(1), Fraction(0)])
 
 
 @settings(max_examples=50, deadline=None)
