@@ -278,9 +278,6 @@ class SetPartition:
     def minima(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.blocks)
 
-    def is_singletons(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
     @staticmethod
     def all_partitions(s: int) -> list["SetPartition"]:
         """All set partitions of {1, ..., s}, canonically ordered."""

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polycore import ProblemTooLarge
+from .polycore import ProblemTooLarge, parse_polynomial, x_universe
 from .veronese import PartitionType, basis_size
 
 
@@ -368,7 +368,6 @@ def degrees_table() -> list[dict]:
     # the table stays loadable without dragging the heavy modules in at
     # import time (kalman imports this module)
     from .kalman import delta_d_at
-    from .polycore import parse_polynomial, x_universe
     from .salmon import A_NAMES, B_NAMES, kalman_conic_equation
 
     g2 = kalman_conic_equation(parse_polynomial("x2^2 - x1*x3", x_universe(3)))

@@ -64,7 +64,6 @@ from .veronese import (
 )
 from .witness import (
     RETRY_BUDGET,
-    EigenSpec,
     NoStrategy,
     RetryExhausted,
     UnsupportedPartition,
@@ -324,11 +323,13 @@ def _line_matrix(A0: Sequence[Sequence[Scalar]], A1: Sequence[Sequence[Scalar]])
     return PolyMatrix(ut, rows)
 
 
-def _order_at_zero(p: Polynomial) -> int:
-    try:
-        return root_multiplicity_at_zero(p)
-    except ZeroPolynomial:
-        raise LineRestrictionZero("restriction identically zero") from None
+# The largest restrictions factor_order_along_line computes, in units of N
+# times the target's degree in t: d*C(N, 2) for "det", d*N*(N-1) for
+# "delta_d" ("delta" is d = 1).  On a 2-core Xeon "det" took 5.5 s at 4410
+# ((n, d) = (21, 1)) and 8.3 s at 6050 ((2, 10)); "delta_d" 7.7 s at 3150
+# ((15, 1)) and 23 s at 5184 ((2, 8)).
+MAX_LINE_DET_WORK = 5000
+MAX_LINE_DELTA_WORK = 3200
 
 
 def factor_order_along_line(target: str, A0: Sequence[Sequence[Scalar]],
@@ -348,6 +349,8 @@ def factor_order_along_line(target: str, A0: Sequence[Sequence[Scalar]],
     the multiplicity of the corresponding factor of the target.  Raises
     LineRestrictionZero when the restriction vanishes identically (a
     non-generic line; the caller should retry with fresh randomness).
+    Raises `ProblemTooLarge`, before any work, past MAX_LINE_DET_WORK or
+    MAX_LINE_DELTA_WORK.
     """
     At = _line_matrix(A0, A1)
     if target == "det":
@@ -355,16 +358,30 @@ def factor_order_along_line(target: str, A0: Sequence[Sequence[Scalar]],
             raise ValueError('target "det" requires the form f')
         if d is not None:
             raise ValueError('target "det" takes its degree from f, not d')
+        n, fd = _form_nd(f)
+        N = basis_size(n, fd)
+        work = N * fd * math.comb(N, 2)
+        if work > MAX_LINE_DET_WORK:
+            raise ProblemTooLarge(f"det K_{fd} on a line takes {work} units of work; "
+                                  f"the limit is MAX_LINE_DET_WORK = {MAX_LINE_DET_WORK}")
         restricted = kalman_matrix(KalmanInstance.from_form(f), At).det()
-    elif target == "delta_d":
-        if d is None:
+    elif target in ("delta_d", "delta"):
+        if target == "delta_d" and d is None:
             raise ValueError('target "delta_d" requires d')
-        restricted = univariate_discriminant(sym_power(At, d).char_poly())
-    elif target == "delta":
-        restricted = univariate_discriminant(At.char_poly())
+        k = d if target == "delta_d" else 1
+        N = basis_size(At.nrows, k)
+        work = N * k * N * (N - 1)
+        if work > MAX_LINE_DELTA_WORK:
+            raise ProblemTooLarge(f"Delta_{k} on a line takes {work} units of work; "
+                                  f"the limit is MAX_LINE_DELTA_WORK = {MAX_LINE_DELTA_WORK}")
+        M = sym_power(At, d) if target == "delta_d" else At
+        restricted = univariate_discriminant(M.char_poly())
     else:
         raise ValueError(f"unknown target {target!r}")
-    return _order_at_zero(restricted)
+    try:
+        return root_multiplicity_at_zero(restricted)
+    except ZeroPolynomial:
+        raise LineRestrictionZero("restriction identically zero") from None
 
 
 # -- factorization audit ------------------------------------------------------
@@ -491,7 +508,7 @@ def _trial_assertion(name: str, owed: list, seed: int, base: int, trials: int,
         except RetryExhausted as e:  # pragma: no cover - ample retries
             cases.append(dict(case, status="error", reason=str(e)))
             continue
-        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
+        A = matrix_with_eigenvectors(V, lams)
         case["eigenvalues"] = [str(l) for l in lams]
         cases.append(_owe_det(owed, case, A, vanishes))
     return _case_assertion(name, derive_seed(seed, base), cases)

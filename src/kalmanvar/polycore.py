@@ -433,13 +433,6 @@ class Polynomial:
             raise NotDivisible("remainder nonzero")
         return _divide(self, q, box)
 
-    def divides(self, p: "Polynomial") -> bool:
-        try:
-            p.exact_div(self)
-            return True
-        except NotDivisible:
-            return False
-
     # -- evaluation and substitution -------------------------------------
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
@@ -1289,15 +1282,7 @@ def root_multiplicity_at_zero(p: Polynomial) -> int:
     """Largest e such that t^e divides the univariate polynomial."""
     if not p.terms:
         raise ZeroPolynomial("multiplicity undefined for the zero polynomial")
-    u = p.u
-    m = u._mask
-    used = [i for i, e in enumerate(p.var_maxes()) if e]
-    if len(used) > 1:
-        raise ValueError("polynomial is not univariate")
-    if not used:
-        return 0
-    sh = u._shifts[used[0]]
-    return min((k >> sh) & m for k in p.terms)
+    return next(i for i, c in enumerate(univariate_coeffs(p)) if c)
 
 
 def sylvester_resultant(u_coeffs: list, v_coeffs: list):

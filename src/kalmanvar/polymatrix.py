@@ -1,13 +1,18 @@
 """Matrices with polynomial entries, plus exact rational linear algebra.
 
-Every exact elimination runs through one fraction-free core, `bareiss`
-(Bareiss 1968): polynomial determinants with effectively univariate
-entries, and the scalar determinant, rank and inverse.  Multivariate
-polynomial determinants use a memoized cofactor expansion over column
-subsets instead, because Bareiss' minor cross-products balloon there long
-before the division.  Each minor of the expansion is one product-kernel
-call over its signed cofactor terms (`polycore.sum_of_products`).  The test
-suite cross-checks the two.
+Every elimination on matrix entries runs through one fraction-free core,
+`bareiss` (Bareiss 1968): polynomial determinants with effectively
+univariate entries, the scalar determinant, rank and inverse, and the
+audit's Krylov determinants.  Multivariate polynomial determinants use a
+memoized cofactor expansion over column subsets instead, because Bareiss'
+minor cross-products balloon there long before the division.  Each minor
+of the expansion is one product-kernel call over its signed cofactor terms
+(`polycore.sum_of_products`).  The test suite cross-checks the two.
+
+The product kernel keeps its own eliminations on exponent vectors, since
+through `bareiss` its relation search took 1.4-3x as long on the benchmark:
+`polycore._relations` (fraction-free Gauss-Jordan on a small int64 Gram
+matrix) and `_box_past` (a rank bound mod 2**61 - 1; an exact one, ~5x).
 
 Scalar (rational) matrices are handled by the `qmat_*` helpers working on
 plain lists of lists of int/Fraction.
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .polycore import (
     Polynomial,
@@ -26,7 +31,7 @@ from .polycore import (
     Universe,
     UniverseMismatch,
     _demote,
-    parse_polynomial,
+    a_universe,
     sum_of_products,
 )
 
@@ -63,16 +68,8 @@ class PolyMatrix:
         return PolyMatrix(u, [[Polynomial.const(u, c) for c in r] for r in rows])
 
     @staticmethod
-    def identity(u: Universe, n: int) -> "PolyMatrix":
-        z = Polynomial.zero(u)
-        one = Polynomial.const(u, 1)
-        return PolyMatrix(u, [[one if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def generic(n: int) -> "PolyMatrix":
         """The symbolic n x n matrix with entries a11..ann."""
-        from .polycore import a_universe
-
         u = a_universe(n)
         return PolyMatrix(
             u,
@@ -100,56 +97,16 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.u, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def map(self, fn: Callable[[Polynomial], Polynomial]) -> "PolyMatrix":
-        return PolyMatrix(self.u, [[fn(e) for e in r] for r in self.rows])
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return PolyMatrix(
-            self.u,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return PolyMatrix(
-            self.u,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def scale(self, c) -> "PolyMatrix":
-        return self.map(lambda e: e * c)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.ncols != other.nrows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-                )
-            if self.u != other.u:
-                raise UniverseMismatch("matrix product universe mismatch")
-            bt = other.transpose().rows
-            return PolyMatrix(self.u, [[sum_of_products(self.u, [(1, *ab) for ab in zip(ra, cb)])
-                                        for cb in bt] for ra in self.rows])
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self.scale(other)
-        return NotImplemented
-
-    def stack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("column count mismatch in stack")
-        return PolyMatrix(self.u, self.rows + other.rows)
-
-    def evaluate(self, point: Sequence[Scalar]) -> list[list[Scalar]]:
-        return [[e.evaluate(point) for e in r] for r in self.rows]
-
-    def total_terms(self) -> int:
-        return sum(e.term_count() for r in self.rows for e in r)
+    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(
+                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
+            )
+        if self.u != other.u:
+            raise UniverseMismatch("matrix product universe mismatch")
+        cols = list(zip(*other.rows))
+        return PolyMatrix(self.u, [[sum_of_products(self.u, [(1, *ab) for ab in zip(ra, cb)])
+                                    for cb in cols] for ra in self.rows])
 
     # -- determinants -----------------------------------------------------
 
@@ -224,24 +181,6 @@ class PolyMatrix:
 
     def to_json_obj(self) -> list[list[str]]:
         return [[e.to_text() for e in r] for r in self.rows]
-
-    @staticmethod
-    def from_json_obj(u: Universe, obj: Sequence[Sequence[str]]) -> "PolyMatrix":
-        return PolyMatrix(u, [[parse_polynomial(s, u) for s in r] for r in obj])
-
-
-def parse_matrix(text: str, u: Universe) -> PolyMatrix:
-    """Parse the row-per-line, `|`-delimited matrix text format."""
-    rows = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([parse_polynomial(cell, u) for cell in line.split("|")])
-    if not rows:
-        raise ValueError("empty matrix text")
-    return PolyMatrix(u, rows)
-
 
 # -- exact scalar linear algebra -------------------------------------------
 

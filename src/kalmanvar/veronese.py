@@ -245,8 +245,3 @@ def polarize(f: Polynomial, mu: PartitionType | Sequence[int]) -> Polynomial:
         if all(sum(exps[k * n:(k + 1) * n]) == p for k, p in enumerate(mu.parts)):
             terms[key] = _demote(c * scalar)
     return Polynomial(ub, terms)
-
-
-def polarize_value(f: Polynomial, mu: PartitionType | Sequence[int], vectors: Sequence[Sequence[Scalar]]) -> Scalar:
-    """f_mu evaluated at a tuple of rational vectors."""
-    return polarize(f, mu).evaluate([x for v in vectors for x in v])

@@ -80,31 +80,21 @@ def _rand_vector(rng: random.Random, n: int) -> list[int]:
 # eigenstructure ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenSpec:
-    """Prescribed eigenvectors (columns of V) and eigenvalues (diagonal D)."""
-
-    V: tuple[tuple[Scalar, ...], ...]
-    D: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        n = len(self.D)
-        if len(self.V) != n or any(len(r) != n for r in self.V):
-            raise ValueError("V must be square with one column per eigenvalue")
-
-
-def matrix_with_eigenvectors(spec: EigenSpec) -> list[list[Scalar]]:
-    """A = V diag(D) V^{-1}; column i of V is an exact eigenvector for D[i]."""
-    n = len(spec.D)
+def matrix_with_eigenvectors(V: Sequence[Sequence[Scalar]], D: Sequence[Scalar]) -> list[list[Scalar]]:
+    """A = V diag(D) V^{-1}; column i of V is an exact eigenvector for D[i].
+    Raises ValueError unless V is square with one column per eigenvalue."""
+    n = len(D)
+    if len(V) != n or any(len(r) != n for r in V):
+        raise ValueError("V must be square with one column per eigenvalue")
     try:
-        vinv = qmat_inv([list(r) for r in spec.V])
+        vinv = qmat_inv(V)
     except SingularMatrixError as e:
         raise SingularV("eigenvector matrix is singular") from e
-    vd = [[spec.V[i][j] * spec.D[j] for j in range(n)] for i in range(n)]
+    vd = [[V[i][j] * D[j] for j in range(n)] for i in range(n)]
     a = qmat_mul(vd, vinv)
     for j in range(n):
-        col = [spec.V[i][j] for i in range(n)]
-        if qmat_vec(a, col) != [spec.D[j] * x for x in col]:  # pragma: no cover
+        col = [V[i][j] for i in range(n)]
+        if qmat_vec(a, col) != [D[j] * x for x in col]:  # pragma: no cover
             raise AssertionError("eigen-equation failed; construction fault")
     return a
 
@@ -366,8 +356,7 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], *,
             lams = rho_simple_eigenvalues(rng, n, mu.d)
         except RetryExhausted:
             continue
-        A = matrix_with_eigenvectors(
-            EigenSpec(tuple(map(tuple, V)), tuple(lams)))
+        A = matrix_with_eigenvectors(V, lams)
         cert = {
             "seed": seed,
             "mu": list(mu.parts),
@@ -440,7 +429,7 @@ def special_locus_matrix(kind: str, n: int, seed: int = 0) -> dict:
         lams = rho_simple_eigenvalues(rng, n, 1, forced=[0])
         nz = [l for l in lams if l != 0]
         lams = [0] + nz  # eigenvalue 0 first, prescribed
-        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
+        A = matrix_with_eigenvectors(V, lams)
         cert = {
             "seed": seed, "kind": kind,
             "V": _fmt_matrix(V), "D": [str(l) for l in lams],

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kalmanvar.polycore import Polynomial, Universe, a_universe, parse_polynomial, x_universe
+from kalmanvar.polymatrix import PolyMatrix
 
 
 # -- scalar strategies ------------------------------------------------------
@@ -107,19 +108,24 @@ SYM_POWER_3X3_D2 = [
 ]
 
 
+def generic_with(fixed: dict[str, int]) -> PolyMatrix:
+    """The generic 3 x 3 matrix a11..a33 with the entries named in `fixed` held at their values."""
+    u = a_universe(3)
+    return PolyMatrix(u, [[Polynomial.const(u, fixed[a]) if a in fixed else Polynomial.var(u, a)
+                           for a in (f"a{i}{j}" for j in range(1, 4))] for i in range(1, 4)])
+
+
 @pytest.fixture(scope="session")
 def dehomogenized_conic() -> tuple[Polynomial, Polynomial]:
     """The benchmark's conic: det K_2 of x2^2 - x1*x3 with a11 = a33 = 1
     (124,815 terms), and its eigenvector equation g2 specialized the same
     way, which divides it."""
     from kalmanvar.kalman import KalmanInstance, kalman_matrix
-    from kalmanvar.polymatrix import PolyMatrix
     from kalmanvar.salmon import kalman_conic_equation
 
     f = parse_polynomial("x2^2 - x1*x3", x_universe(3))
     fixed = {"a11": 1, "a33": 1}
-    A = PolyMatrix.generic(3).map(lambda e: e.specialize(fixed))
-    det = kalman_matrix(KalmanInstance.from_form(f), A).det()
+    det = kalman_matrix(KalmanInstance.from_form(f), generic_with(fixed)).det()
     return det, kalman_conic_equation(f).convert(a_universe(3)).specialize(fixed)
 
 

@@ -190,8 +190,6 @@ def test_set_partition_canonicalization():
     assert p.blocks == ((1, 2), (3,))
     assert p.minima == (1, 3)
     assert p.k == 2 and p.s == 3
-    assert not p.is_singletons()
-    assert SetPartition.of([[1], [2], [3]]).is_singletons()
 
 
 def test_set_partition_validation():

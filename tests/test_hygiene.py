@@ -1,4 +1,5 @@
-"""Every name a module imports is read in that module, and every private
+"""Every name a module imports is read in that module, no function imports
+a module its file already imports at module level, and every private
 definition and module-level constant in the package is used somewhere in
 it."""
 
@@ -37,6 +38,36 @@ def test_unread_imports_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
+    if isinstance(node, ast.Import):
+        return {a.name for a in node.names}
+    return {"." * node.level + (node.module or "")}
+
+
+def repeated_local_imports(source: str) -> list[str]:
+    """Modules imported inside a function that the file already imports at
+    module level."""
+    tree = ast.parse(source)
+    top = {m for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))
+           for m in _imported_modules(n)}
+    local = {m for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))
+             for m in _imported_modules(n)}
+    return sorted(top & local)
+
+
+def test_repeated_local_imports_detected():
+    src = ("import os\nimport a.b\nfrom .c import d\n"
+           "def f():\n    import os, sys\n    import a\n    from .c import e\n"
+           "    from c import g\n    from .h import i\n")
+    assert repeated_local_imports(src) == [".c", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_local_import_repeats_a_module_level_one(path):
+    assert repeated_local_imports(path.read_text()) == []
 
 
 def _references(node: ast.AST) -> collections.Counter:

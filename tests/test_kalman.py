@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 
 import kalmanvar.kalman as kalman
 import kalmanvar.polycore as polycore
-from conftest import matrices
+from conftest import generic_with, matrices
 from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
 from kalmanvar.kalman import (
     MAX_AUDIT_WORK,
     MAX_DET_N,
     MAX_KALMAN_TERMS,
+    MAX_LINE_DELTA_WORK,
+    MAX_LINE_DET_WORK,
     KalmanInstance,
     LineRestrictionZero,
     ProblemTooLarge,
@@ -48,7 +50,6 @@ from kalmanvar.salmon import kalman_conic_equation
 from kalmanvar.veronese import basis_size, monomial_basis, sym_power_scalar
 from kalmanvar.witness import (
     matrix_with_eigenvectors,
-    EigenSpec,
     derive_seed,
     random_invertible,
     rho_simple_eigenvalues,
@@ -235,7 +236,7 @@ def test_kalman_det_at_matches_eigen_product(form, n):
     nonzero = 0
     for _ in range(6):
         lams, V = rho_simple_eigenvalues(rng, n, d), random_invertible(rng, n)
-        A = matrix_with_eigenvectors(EigenSpec(tuple(map(tuple, V)), tuple(lams)))
+        A = matrix_with_eigenvectors(V, lams)
         mus = [math.prod(l ** e for l, e in zip(lams, exps)) for exps in monomial_basis(n, d)]
         W = sym_power_scalar(V, d)
         CW = [sum(c * W[k][m] for k, c in enumerate(inst.C[0])) for m in range(N)]
@@ -326,8 +327,7 @@ def test_portable_path_matches_numpy_on_a_dehomogenized_conic(monkeypatch):
     f = parse_polynomial("x2^2 - x1*x3", x_universe(3))
     u = a_universe(3)
     fixed = {"a11": 1, "a22": -1, "a33": 1, "a12": 2}
-    A = PolyMatrix.generic(3).map(lambda e: e.specialize(fixed))
-    K = kalman_matrix(KalmanInstance.from_form(f), A)
+    K = kalman_matrix(KalmanInstance.from_form(f), generic_with(fixed))
     g2 = kalman_conic_equation(f).convert(u).specialize(fixed)
     kernel_sums = []
     kernel = polycore._np_mul
@@ -352,8 +352,7 @@ def test_dehomogenized_conic_det_peak_memory():
     # the measured peak.
     f = parse_polynomial("x2^2 - x1*x3", x_universe(3))
     fixed = {"a11": 1, "a33": 1}
-    A = PolyMatrix.generic(3).map(lambda e: e.specialize(fixed))
-    K = kalman_matrix(KalmanInstance.from_form(f), A)
+    K = kalman_matrix(KalmanInstance.from_form(f), generic_with(fixed))
     tracemalloc.start()
     try:
         det = K.det()
@@ -486,8 +485,7 @@ def test_kalman_det_rejects_inhomogeneous():
 def test_kalman_det_vanishes_on_eigenpoint_witness():
     # an eigenvector on V(f) forces the determinant to vanish
     det = kalman_det(F22)
-    spec = EigenSpec(V=((1, 1), (2, 1)), D=(3, 5))  # (1,1) lies on V(x1^2-x2^2)
-    A = matrix_with_eigenvectors(spec)
+    A = matrix_with_eigenvectors([[1, 1], [2, 1]], [3, 5])  # (1,1) lies on V(x1^2-x2^2)
     flat = tuple(x for row in A for x in row)
     assert det.evaluate(flat) == 0
 
@@ -505,8 +503,7 @@ def test_kalman_det_nonzero_at_generic_point():
 
 def test_membership_necessary():
     inst = KalmanInstance.from_form(F22)
-    spec = EigenSpec(V=((1, 1), (2, 1)), D=(3, 5))
-    assert membership_necessary(inst, frac_rows(matrix_with_eigenvectors(spec)))
+    assert membership_necessary(inst, frac_rows(matrix_with_eigenvectors([[1, 1], [2, 1]], [3, 5])))
     generic = frac_rows([[1, 2], [3, 5]])
     assert not membership_necessary(inst, generic)
 
@@ -516,8 +513,8 @@ def test_membership_necessary_pencil():
     f2 = parse_polynomial("x2^2", x_universe(3))
     inst = KalmanInstance.from_generators([f1, f2])
     # eigenvector (0,0,1) lies on V(x1^2, x2^2)
-    spec = EigenSpec(V=((0, 0, 1), (0, 1, 1), (1, 1, 1)), D=(2, 3, 5))
-    assert membership_necessary(inst, frac_rows(matrix_with_eigenvectors(spec)))
+    V = [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
+    assert membership_necessary(inst, frac_rows(matrix_with_eigenvectors(V, [2, 3, 5])))
 
 
 # -- spectral discriminants ----------------------------------------------------------
@@ -566,6 +563,59 @@ def test_det_order_at_rank_deficient():
 def test_det_order_at_rank_deficient_n2():
     A0, A1 = _line_through("rank_deficient", 2, seed=3)
     assert factor_order_along_line("det", A0, A1, f=F22) == detA_multiplicity(2, 2) == 1
+
+
+def _linear_form(n: int) -> str:
+    return " + ".join(f"x{i}" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("text,n,work", [
+    ("x2^2 - x1*x3", 3, 180),
+    ("x1^9 + x2^9", 2, 4050),
+    (_linear_form(21), 21, 4410),  # the largest accepted
+    (_linear_form(22), 22, 5082),  # the smallest rejected
+    ("x1^10 + x2^10", 2, 6050),
+])
+def test_line_det_size_limit_edge(monkeypatch, text, n, work):
+    # work N * d*C(N, 2) <= MAX_LINE_DET_WORK reaches the matrix build
+    def build(*args):
+        raise _Reached
+
+    monkeypatch.setattr(kalman, "kalman_matrix", build)
+    f = parse_polynomial(text, x_universe(n))
+    A = frac_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    if work <= MAX_LINE_DET_WORK:
+        with pytest.raises(_Reached):
+            factor_order_along_line("det", A, A, f=f)
+    else:
+        with pytest.raises(ProblemTooLarge, match=f"takes {work} units of work; "
+                                                  "the limit is MAX_LINE_DET_WORK = 5000"):
+            factor_order_along_line("det", A, A, f=f)
+
+
+@pytest.mark.parametrize("target,n,d,work", [
+    ("delta_d", 3, 2, 360),
+    ("delta_d", 2, 7, 3136),
+    ("delta", 15, None, 3150),  # the largest accepted
+    ("delta_d", 15, 1, 3150),
+    ("delta", 16, None, 3840),  # the smallest rejected
+    ("delta_d", 2, 8, 5184),
+    ("delta_d", 5, 2, 6300),
+])
+def test_line_delta_size_limit_edge(monkeypatch, target, n, d, work):
+    # work N * d*N*(N-1) <= MAX_LINE_DELTA_WORK reaches the characteristic polynomial
+    def char_poly(self):
+        raise _Reached
+
+    monkeypatch.setattr(PolyMatrix, "char_poly", char_poly)
+    A = frac_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    if work <= MAX_LINE_DELTA_WORK:
+        with pytest.raises(_Reached):
+            factor_order_along_line(target, A, A, d=d)
+    else:
+        with pytest.raises(ProblemTooLarge, match=f"takes {work} units of work; "
+                                                  "the limit is MAX_LINE_DELTA_WORK = 3200"):
+            factor_order_along_line(target, A, A, d=d)
 
 
 def test_line_restriction_zero():

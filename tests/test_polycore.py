@@ -382,13 +382,11 @@ def test_exact_div_oracle():
     num = P("x1^3 - x2^3")
     den = P("x1 - x2")
     assert num.exact_div(den) == P("x1^2 + x1*x2 + x2^2")
-    assert den.divides(num)
 
 
 def test_exact_div_not_divisible():
     with pytest.raises(NotDivisible):
         P("x1^2 + 1").exact_div(P("x1 + 1"))
-    assert not P("x1 + 1").divides(P("x1^2 + 1"))
 
 
 def test_exact_div_by_zero():
@@ -1066,8 +1064,11 @@ def test_root_multiplicity_at_zero():
     t = t_universe()
     assert root_multiplicity_at_zero(parse_polynomial("t^3 + t^4", t)) == 3
     assert root_multiplicity_at_zero(parse_polynomial("5", t)) == 0
+    assert root_multiplicity_at_zero(P("x2^5 - 2*x2^2")) == 2
     with pytest.raises(ZeroPolynomial):
         root_multiplicity_at_zero(Polynomial.zero(t))
+    with pytest.raises(ValueError, match="not univariate"):
+        root_multiplicity_at_zero(P("x1*x2 + x1"))
 
 
 # -- resultants and discriminants ------------------------------------------------------

@@ -23,7 +23,7 @@ from kalmanvar.salmon import (
     salmon_resultant,
     to_full,
 )
-from kalmanvar.witness import EigenSpec, matrix_with_eigenvectors
+from kalmanvar.witness import matrix_with_eigenvectors
 
 U3 = x_universe(3)
 CONIC = parse_polynomial("x2^2 - x1*x3", U3)
@@ -178,8 +178,7 @@ def test_g2_vanishes_on_conic_eigenpoint_matrices():
     g2 = kalman_conic_equation(CONIC)
     # eigenvectors are the COLUMNS of V; column 1 = (1,1,1) lies on
     # V(x2^2 - x1*x3)
-    spec = EigenSpec(V=((1, 1, 0), (1, 2, 0), (1, 0, 1)), D=(2, 3, 5))
-    A = matrix_with_eigenvectors(spec)
+    A = matrix_with_eigenvectors([[1, 1, 0], [1, 2, 0], [1, 0, 1]], [2, 3, 5])
     flat = tuple(Fraction(x) for row in A for x in row) + (Fraction(0),) * 6
     assert g2.evaluate(flat) == 0
 
@@ -187,7 +186,6 @@ def test_g2_vanishes_on_conic_eigenpoint_matrices():
 def test_g2_nonzero_off_locus():
     g2 = kalman_conic_equation(CONIC)
     # columns (1,1,0), (1,2,0), (1,0,1) all avoid the conic
-    spec = EigenSpec(V=((1, 1, 1), (1, 2, 0), (0, 0, 1)), D=(2, 3, 5))
-    A = matrix_with_eigenvectors(spec)
+    A = matrix_with_eigenvectors([[1, 1, 1], [1, 2, 0], [0, 0, 1]], [2, 3, 5])
     flat = tuple(Fraction(x) for row in A for x in row) + (Fraction(0),) * 6
     assert g2.evaluate(flat) != 0

@@ -35,7 +35,6 @@ from kalmanvar.veronese import (
     mon_vector,
     monomial_basis,
     polarize,
-    polarize_value,
     sym_power,
     sym_power_scalar,
 )
@@ -265,7 +264,7 @@ def test_polarize_rejects_inhomogeneous():
 def test_polarize_diagonal_recovers_f(f, v):
     # f_mu(v, v, ..., v) = f(v) for every partition shape
     for mu in [(3,), (2, 1), (1, 1, 1)]:
-        assert polarize_value(f, mu, [v] * len(mu)) == f.evaluate(tuple(v))
+        assert polarize(f, mu).evaluate(v * len(mu)) == f.evaluate(tuple(v))
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,17 +272,17 @@ def test_polarize_diagonal_recovers_f(f, v):
 def test_polarize_block_homogeneity(v, w, c):
     # parts are kept sorted ascending, so block 1 has degree 1, block 2
     # has degree 2
-    f = parse_polynomial("x2^3 - x1^2*x3", U3)
-    base = polarize_value(f, (1, 2), [v, w])
-    assert polarize_value(f, (1, 2), [[c * x for x in v], w]) == c * base
-    assert polarize_value(f, (1, 2), [v, [c * x for x in w]]) == c ** 2 * base
+    f12 = polarize(parse_polynomial("x2^3 - x1^2*x3", U3), (1, 2))
+    base = f12.evaluate(v + w)
+    assert f12.evaluate([c * x for x in v] + w) == c * base
+    assert f12.evaluate(v + [c * x for x in w]) == c ** 2 * base
 
 
 @settings(max_examples=40, deadline=None)
 @given(vectors(3), vectors(3))
 def test_polarize_equal_blocks_symmetric(v, w):
-    f = parse_polynomial("x1^2*x2^2 - x3^4", U3)
-    assert polarize_value(f, (2, 2), [v, w]) == polarize_value(f, (2, 2), [w, v])
+    f22 = polarize(parse_polynomial("x1^2*x2^2 - x3^4", U3), (2, 2))
+    assert f22.evaluate(v + w) == f22.evaluate(w + v)
 
 
 POLARIZE_FORMS = (

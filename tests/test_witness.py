@@ -16,12 +16,11 @@ from kalmanvar.kalman import KalmanInstance, kalman_det, membership_necessary
 from kalmanvar import witness
 from kalmanvar.polycore import ProblemTooLarge, parse_polynomial, x_universe
 from kalmanvar.polymatrix import qmat_det, qmat_rank, qmat_vec
-from kalmanvar.veronese import polarize_value
+from kalmanvar.veronese import polarize
 from kalmanvar.witness import (
     MAX_SPECIAL_N,
     SEARCH_HEIGHT,
     SEARCH_MAX_VARS,
-    EigenSpec,
     NoStrategy,
     SingularV,
     UnsupportedPartition,
@@ -55,21 +54,23 @@ def test_derive_seed_deterministic_and_spread():
 
 
 def test_matrix_with_eigenvectors_exact():
-    spec = EigenSpec(V=((1, 2), (3, 4)), D=(5, 7))
-    A = matrix_with_eigenvectors(spec)
-    for j, lam in enumerate(spec.D):
-        col = [Fraction(spec.V[i][j]) for i in range(2)]
+    V, D = [[1, 2], [3, 4]], [5, 7]
+    A = matrix_with_eigenvectors(V, D)
+    for j, lam in enumerate(D):
+        col = [Fraction(V[i][j]) for i in range(2)]
         assert qmat_vec(A, col) == [lam * x for x in col]
 
 
 def test_matrix_with_eigenvectors_singular_v():
     with pytest.raises(SingularV):
-        matrix_with_eigenvectors(EigenSpec(V=((1, 2), (2, 4)), D=(1, 2)))
+        matrix_with_eigenvectors([[1, 2], [2, 4]], [1, 2])
 
 
-def test_eigen_spec_validation():
+def test_matrix_with_eigenvectors_shape():
     with pytest.raises(ValueError):
-        EigenSpec(V=((1, 2),), D=(1, 2))
+        matrix_with_eigenvectors([[1, 2]], [1, 2])  # not square
+    with pytest.raises(ValueError):
+        matrix_with_eigenvectors([[1, 2], [3, 4]], [1, 2, 3])  # 2 x 2 V, 3 eigenvalues
 
 
 @settings(max_examples=25, deadline=None)
@@ -208,7 +209,7 @@ def test_mu_witness_all_partitions(f, n, d):
         for trial in range(3):
             w = mu_witness(f, mu.parts, seed=derive_seed(42, trial))
             # polarization vanishes exactly at the witness vectors
-            assert polarize_value(f, mu.parts, w.vectors) == 0
+            assert polarize(f, mu).evaluate([x for v in w.vectors for x in v]) == 0
             assert w.certificate["checks"]["polarization_value"] == "0"
             assert w.certificate["mu"] == list(mu.parts)
 
@@ -250,7 +251,7 @@ def test_mu_witness_unsupported_exactly_when_smallest_part_exceeds_one():
                 mu_witness(f, mu, seed=1)
         else:
             w = mu_witness(f, mu, seed=1)
-            assert polarize_value(f, mu.parts, w.vectors) == 0
+            assert polarize(f, mu).evaluate([x for v in w.vectors for x in v]) == 0
 
 
 def test_mu_witness_validation():
