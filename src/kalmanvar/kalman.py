@@ -21,13 +21,10 @@ partition.  Everything is exact rational arithmetic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-import os
 import random
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,13 +49,14 @@ from .polymatrix import (
     PolyMatrix,
     bareiss_det,
     char_poly_coeffs,
+    qmat_det,
     qmat_rank,
 )
 from .veronese import (
     basis_size,
     coeff_matrix,
     coeff_row,
-    polarize,
+    monomial_basis,
     sym_power,
     sym_power_scalar,
 )
@@ -66,10 +64,10 @@ from .witness import (
     RETRY_BUDGET,
     NoStrategy,
     RetryExhausted,
+    SingularV,
     UnsupportedPartition,
     collision_eigenvalues,
     derive_seed,
-    matrix_with_eigenvectors,
     mu_witness,
     random_invertible,
     rho_simple_eigenvalues,
@@ -227,21 +225,72 @@ def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> li
     return rows
 
 
+def _check_single_form(inst: KalmanInstance) -> None:
+    """Raise NonSquareMatrix unless K of `inst` is square (p = 1)."""
+    if inst.p != 1:
+        raise NonSquareMatrix(
+            f"K has {inst.p * (inst.N - inst.p + 1)} rows and {inst.N} columns; "
+            "its determinant needs a single form")
+
+
 def kalman_det_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> Scalar:
     """det K(A0) of a single-form instance, equal to
     qmat_det(kalman_matrix_at(inst, A0)): one Bareiss elimination of the
     primitive rows of `_krylov_rows`, times the product of their
     multipliers.  Raises NonSquareMatrix for p > 1."""
-    if inst.p != 1:
-        raise NonSquareMatrix(
-            f"K has {inst.p * (inst.N - inst.p + 1)} rows and {inst.N} columns; "
-            "its determinant needs a single form")
+    _check_single_form(inst)
     rows, num, den = [], 1, 1
     for v, a, b in _krylov_rows(inst, A0):
         rows.append(v)
         num *= a
         den *= b
     return _demote(Fraction(bareiss_det(rows, 0) * num, den))
+
+
+def _form_at_columns(inst: KalmanInstance, V: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    """C rho_d(V) of a single-form instance: the coefficients of
+    f(x_1 v_1 + ... + x_n v_n), v_j the columns of V, in the basis order."""
+    return [sum(map(operator.mul, inst.C[0], col)) for col in zip(*sym_power_scalar(V, inst.d))]
+
+
+def _eigen_det(inst: KalmanInstance, V: Sequence[Sequence[Scalar]], lams: Sequence[Scalar],
+               cw: Sequence[Scalar] | None = None) -> Scalar:
+    """det K(A) at A = V diag(lams) V^-1 of a single-form instance, equal to
+    kalman_det_at(inst, A) in value and type, without forming A or K.
+    `cw`, when given, is `_form_at_columns(inst, V)`.
+
+    rho_d is multiplicative and sends diag(lams) to diag(mu), with
+    mu_alpha = lams^alpha over the basis monomials alpha.  So with
+    W = rho_d(V), rho_d(A)^i = W diag(mu)^i W^-1, and row block i of K is
+    C rho_d(A)^i = (C W) diag(mu)^i W^-1.  Hence K = P diag(C W) W^-1, with
+    P[i][alpha] = mu_alpha^i a Vandermonde matrix, and det rho_d(V) =
+    det(V)^k with k = d N / n = C(n+d-1, d-1):
+
+        det K(A) = prod_alpha (C W)_alpha * prod_{a<b} (mu_b - mu_a) / det(V)^k.
+
+    (C W)_alpha is the coefficient of x^alpha in f(x_1 v_1 + ... + x_n v_n).
+    Put the columns that alpha picks in the order of their exponents, which
+    then form a partition mu of d: the coefficient is d!/(mu_1! ... mu_s!)
+    times the polarization f_mu (`veronese.polarize`) at those columns.
+    Every ordered tuple of s distinct columns arises this way, once for
+    each partition with s parts, so all(C W) holds exactly when every f_mu
+    is nonzero on every ordered tuple of distinct columns of V.
+
+    Raises NonSquareMatrix for p > 1, DimensionMismatch unless V is n x n
+    with n eigenvalues, and SingularV for a singular V.
+    """
+    _check_single_form(inst)
+    n, d, N = inst.n, inst.d, inst.N
+    if len(V) != n or len(lams) != n:
+        raise DimensionMismatch(f"V must be {n}x{n} with {n} eigenvalues")
+    det_v = qmat_det(V)
+    if det_v == 0:
+        raise SingularV("eigenvector matrix is singular")
+    if cw is None:
+        cw = _form_at_columns(inst, V)
+    mus = [math.prod(l ** e for l, e in zip(lams, alpha)) for alpha in monomial_basis(n, d)]
+    vand = math.prod(mus[b] - mus[a] for a in range(N) for b in range(a + 1, N))
+    return _demote(Fraction(math.prod(cw) * vand) / Fraction(det_v) ** (d * N // n))
 
 
 # The largest N whose symbolic det K_d is computed.  At N = 7 (binary
@@ -394,39 +443,17 @@ def _worst(statuses) -> str:
     return max(statuses, key=_RANK.__getitem__, default="pass")
 
 
-def _tuple_values_nonzero(polarizations: Sequence[tuple[int, Polynomial]],
-                          cols: Sequence[Sequence[Scalar]]) -> bool:
-    """True iff every partition polarization f_mu, given with its number of
-    blocks s, is nonzero on every ordered tuple of s distinct eigenvector
-    columns — the draw then lies on no component of the determinant's
-    vanishing locus."""
-    n = len(cols)
-    for s, fmu in polarizations:
-        for idx in itertools.permutations(range(n), s):
-            if fmu.evaluate([x for i in idx for x in cols[i]]) == 0:
-                return False
-    return True
-
-
-def _generic_draw(rng: random.Random, n: int, d: int,
-                  polarizations: Sequence[tuple[int, Polynomial]]):
-    """Eigenvalues and an eigenvector matrix V whose columns avoid every
-    partition's polarization locus, by rejection sampling."""
+def _generic_draw(rng: random.Random, inst: KalmanInstance):
+    """Eigenvalues, an eigenvector matrix V whose columns avoid every
+    partition's polarization locus, and C rho_d(V), by rejection sampling:
+    a draw is kept when every entry of C rho_d(V) is nonzero (`_eigen_det`)."""
     for _ in range(RETRY_BUDGET):
-        lams = rho_simple_eigenvalues(rng, n, d)
-        V = random_invertible(rng, n)
-        if _tuple_values_nonzero(polarizations, list(zip(*V))):
-            return lams, V
+        lams = rho_simple_eigenvalues(rng, inst.n, inst.d)
+        V = random_invertible(rng, inst.n)
+        cw = _form_at_columns(inst, V)
+        if all(cw):
+            return lams, V, cw
     raise RetryExhausted("rejection sampling found no generic draw")
-
-
-def _owe_det(owed: list, case: dict, A, vanishes: bool) -> dict:
-    """case, with its status and det_value left for `factorization_audit`
-    to fill in once det K(A) is known; it passes when the determinant
-    vanishes exactly as `vanishes` says."""
-    case.update(status=None, det_value=None)
-    owed.append((case, A, vanishes))
-    return case
 
 
 # digits per str() call: below 640, the lowest limit Python can set on the
@@ -449,68 +476,46 @@ def _decimal(v: Scalar) -> str:
     return sign + str(v) + "".join(reversed(parts))
 
 
+def _det_case(inst: KalmanInstance, case: dict, V, lams, vanishes: bool, cw=None) -> dict:
+    """case, with det K(A) at A = V diag(lams) V^-1 (`_eigen_det`) as its
+    det_value; it passes when the determinant vanishes exactly as
+    `vanishes` says."""
+    val = _eigen_det(inst, V, lams, cw)
+    case.update(status="pass" if (val == 0) == vanishes else "fail", det_value=_decimal(val))
+    return case
+
+
 def _case_assertion(name: str, witness_seed: int, cases: list[dict]) -> dict:
-    """An assertion over cases, as severe as its worst case; its status is
-    left for `factorization_audit` to fill in with theirs."""
-    return {"assertion": name, "status": None,
+    """An assertion over cases, as severe as its worst case."""
+    return {"assertion": name, "status": _worst(c["status"] for c in cases),
             "witness_seed": witness_seed, "certificate": {"cases": cases}}
 
 
-# The largest audit, as a bound on its work: each of its len(partitions) +
-# 2*trials determinants is a Bareiss elimination of an N x N Kalman matrix
-# at a rational matrix, whose entries grow with d and N.  On a 2-core Xeon,
-# with the determinants on two worker processes (`_det_values`), a unit
-# took 0.5-0.6 ns: N = 20, d = 3 at 20 trials (1.2e9 units, the largest
-# benchmark audit) took 0.6 s, and N = 35, d = 4 at 1 trial (5.9e9)
-# 3.3-3.4 s.  Serially they took 1.0 s and 5.2 s.
+# The largest audit, as a bound on its work: (len(partitions) + 2*trials)
+# * N^5 * d^2 units, the cost of as many Bareiss eliminations of N x N
+# Kalman matrices.  The audit's determinants are `_eigen_det`'s product
+# formula, so the bound lies far above its time: on a 2-core Xeon N = 20,
+# d = 3 at 20 trials (1.2e9 units, the largest benchmark audit) took
+# 24-30 ms, and N = 35, d = 4 at 3 trials (9.2e9, the largest accepted)
+# 37-53 ms.
 MAX_AUDIT_WORK = 10 ** 10
 
-# The audit work, in the units of MAX_AUDIT_WORK, from which the
-# determinants are spread over worker processes: below it, forking them
-# costs more than it saves.  On a 2-core Xeon the pooled audit took as long
-# as the serial one at 3.9e7 units (N = 10 at 20 trials: 72-95 ms against
-# 83-89 ms) and a quarter less at 1.3e8 (N = 15 at 20 trials: 194 ms
-# against 267 ms).
-_POOL_MIN_WORK = 10 ** 8
 
-
-def _det_values(inst: KalmanInstance, mats: list, work: int) -> list[Scalar]:
-    """kalman_det_at(inst, A) for every A in mats, in order.  From
-    _POOL_MIN_WORK on they run on forked worker processes, one per CPU this
-    process may use and at most one per matrix, which are gone before this
-    returns.  They run serially below it, on one CPU, where fork is
-    unavailable, and in a process with other threads, which a fork could
-    leave holding a lock in the children."""
-    det = functools.partial(kalman_det_at, inst)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(mats))
-    if (work < _POOL_MIN_WORK or workers < 2 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return [det(A) for A in mats]
-    # imported here, as every import of the package would pay ~2 MB and ~10 ms
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(det, mats))
-
-
-def _trial_assertion(name: str, owed: list, seed: int, base: int, trials: int,
+def _trial_assertion(name: str, inst: KalmanInstance, seed: int, base: int, trials: int,
                      draw, vanishes: bool) -> dict:
-    """An assertion over `trials` seeded draws (lams, V) = draw(rng), each
-    a case of det K at A = V diag(lams) V^-1 owed to `owed` (`_owe_det`)."""
+    """An assertion over `trials` seeded draws (lams, V, cw) = draw(rng),
+    each a case of det K at A = V diag(lams) V^-1 (`_det_case`)."""
     cases = []
     for j in range(trials):
         ws = derive_seed(seed, base + j)
         case = {"trial": j, "witness_seed": ws}
         try:
-            lams, V = draw(random.Random(ws))
+            lams, V, cw = draw(random.Random(ws))
         except RetryExhausted as e:  # pragma: no cover - ample retries
             cases.append(dict(case, status="error", reason=str(e)))
             continue
-        A = matrix_with_eigenvectors(V, lams)
         case["eigenvalues"] = [str(l) for l in lams]
-        cases.append(_owe_det(owed, case, A, vanishes))
+        cases.append(_det_case(inst, case, V, lams, vanishes, cw))
     return _case_assertion(name, derive_seed(seed, base), cases)
 
 
@@ -529,11 +534,13 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
       generic_nonvanishing     det is nonzero at `trials` diagonalizable
                                matrices drawn to avoid every factor's locus
 
-    All evaluations are numeric-exact (the symbolic determinant is never
-    expanded).  Witness construction failures are reported per case, not
-    fatal.  The report is deterministic for a fixed seed and JSON-safe.
-    Raises `ProblemTooLarge`, before any work, when (partitions + 2*trials)
-    * N^5 * d^2 exceeds MAX_AUDIT_WORK.
+    All evaluations are numeric-exact: each det K(A) is `_eigen_det` at
+    the eigenvectors and eigenvalues the case drew, so neither the symbolic
+    determinant nor a Kalman matrix is formed.  Witness construction
+    failures are reported per case, not fatal.  The report is
+    deterministic for a fixed seed and JSON-safe.  Raises
+    `ProblemTooLarge`, before any work, when (partitions + 2*trials) *
+    N^5 * d^2 exceeds MAX_AUDIT_WORK.
     """
     inst = KalmanInstance.from_form(f)
     n, d, N = inst.n, inst.d, inst.N
@@ -558,10 +565,6 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
                            "witness_seed": None,
                            "certificate": {"error": str(e)}})
 
-    # every case is drawn first, and the determinants the cases owe are
-    # evaluated together once all are drawn
-    owed: list = []
-
     # vanishing at one exact witness per partition
     cases = []
     for k, mu in enumerate(mus):
@@ -572,7 +575,7 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
         except (UnsupportedPartition, NoStrategy, RetryExhausted) as e:
             cases.append(dict(case, status="error", reason=str(e)))
             continue
-        _owe_det(owed, case, w.A, vanishes=True)
+        _det_case(inst, case, w.V, w.eigenvalues, vanishes=True)
         case["certificate"] = w.certificate
         cases.append(case)
     assertions.append(_case_assertion("mu_witness_vanishing",
@@ -588,22 +591,14 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
         })
     else:
         assertions.append(_trial_assertion(
-            "collision_vanishing", owed, seed, 2_000_000, trials,
-            lambda rng: (collision_eigenvalues(rng, n, d), random_invertible(rng, n)),
+            "collision_vanishing", inst, seed, 2_000_000, trials,
+            lambda rng: (collision_eigenvalues(rng, n, d), random_invertible(rng, n), None),
             vanishes=True))
 
     # nonvanishing at generic diagonalizable matrices away from all factors
-    polarizations = [(mu.s, polarize(f, mu)) for mu in mus]
     assertions.append(_trial_assertion(
-        "generic_nonvanishing", owed, seed, 3_000_000, trials,
-        lambda rng: _generic_draw(rng, n, d, polarizations), vanishes=False))
-
-    for (case, _, vanishes), val in zip(owed, _det_values(inst, [A for _, A, _ in owed], work)):
-        case["status"] = "pass" if (val == 0) == vanishes else "fail"
-        case["det_value"] = _decimal(val)
-    for a in assertions:
-        if a["status"] is None:
-            a["status"] = _worst(c["status"] for c in a["certificate"]["cases"])
+        "generic_nonvanishing", inst, seed, 3_000_000, trials,
+        lambda rng: _generic_draw(rng, inst), vanishes=False))
 
     return {
         "n": n,

@@ -112,7 +112,7 @@ def rho_simple_eigenvalues(rng: random.Random, n: int, d: int,
         lams += pool[: n - len(lams)]
         if len(set(lams)) != n:
             continue
-        monomials = [math.prod(Fraction(l) ** e for l, e in zip(lams, alpha))
+        monomials = [math.prod(l ** e for l, e in zip(lams, alpha))
                      for alpha in exps]
         if len(set(monomials)) == len(monomials):
             return lams
@@ -253,9 +253,11 @@ def sample_on_hypersurface(f: Polynomial, seed: int = 0,
 
 @dataclass
 class MuWitness:
-    """A matrix with s independent eigenvectors killing the polarization."""
+    """A matrix A = V diag(eigenvalues) V^-1 whose first s eigenvector
+    columns of V, `vectors`, kill the polarization."""
 
     A: list[list[Scalar]]
+    V: list[list[Scalar]]
     vectors: list[list[Scalar]]
     eigenvalues: list[Scalar]
     certificate: dict = field(default_factory=dict)
@@ -369,7 +371,7 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], *,
                 "eigenvalues_distinct": True,
             },
         }
-        return MuWitness(A=A, vectors=[list(v) for v in vectors],
+        return MuWitness(A=A, V=V, vectors=[list(v) for v in vectors],
                          eigenvalues=lams, certificate=cert)
     raise RetryExhausted(f"no witness for mu={mu.parts} within budget")
 

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import random
-import threading
 import tracemalloc
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -22,7 +18,7 @@ from hypothesis import strategies as st
 import kalmanvar.kalman as kalman
 import kalmanvar.polycore as polycore
 from conftest import generic_with, matrices
-from kalmanvar.enumerative import detA_multiplicity, discriminant_budget
+from kalmanvar.enumerative import detA_multiplicity, discriminant_budget, partitions
 from kalmanvar.kalman import (
     MAX_AUDIT_WORK,
     MAX_DET_N,
@@ -45,12 +41,18 @@ from kalmanvar.kalman import (
     membership_necessary,
 )
 from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
-from kalmanvar.polymatrix import NonSquareMatrix, PolyMatrix, qmat_det, qmat_mul, qmat_rank
+from kalmanvar.polymatrix import (DimensionMismatch, NonSquareMatrix, PolyMatrix, qmat_det, qmat_mul,
+                                  qmat_rank)
 from kalmanvar.salmon import kalman_conic_equation
-from kalmanvar.veronese import basis_size, monomial_basis, sym_power_scalar
+from kalmanvar.veronese import basis_size, polarize, sym_power_scalar
 from kalmanvar.witness import (
-    matrix_with_eigenvectors,
+    NoStrategy,
+    SingularV,
+    UnsupportedPartition,
+    collision_eigenvalues,
     derive_seed,
+    matrix_with_eigenvectors,
+    mu_witness,
     random_invertible,
     rho_simple_eigenvalues,
     special_locus_matrix,
@@ -209,42 +211,108 @@ def test_kalman_det_at_needs_one_form():
         kalman_det_at(inst, _test_matrices(random.Random(7), 3)[0])
 
 
-def _leibniz_det(M):
-    """det M by the permutation expansion: no elimination."""
-    n = len(M)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
-    return total
+# the forms of the benchmark's audit workload (perfbench/workloads.py)
+AUDIT_FORMS = [
+    ("x1^3 - x2*x3^2 + x4^3", 4),
+    ("x2^3 - x1^2*x3", 3),
+    ("x2^2 - x1*x3", 3),
+    ("x1^2 + x2*x3 - x4^2", 4),
+    ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 3),
+]
 
 
 @pytest.mark.parametrize("form,n", [
-    ("x2^2 - x1*x3", 3),
     ("x1^2 - 3*x1*x2 + 2*x2^2", 2),
     ("x1^3 + 2*x1*x2^2 - x2^3", 2),
     ("x1^3 - x2^3 + x1*x2*x3", 3),
-])
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", 3),
+] + AUDIT_FORMS)
 def test_kalman_det_at_matches_eigen_product(form, n):
-    # with A = V D V^-1, rho_d(A)^i = W M^i W^-1 for W = rho_d(V) and the
-    # diagonal M = rho_d(D) = diag(mu), so K = Vand(mu) diag(C W) W^-1 with
-    # the powers mu_m^i as rows; det W = det(V)^(d N / n).  The sign is +1,
-    # checked first on the conic.
-    inst = KalmanInstance.from_form(parse_polynomial(form, x_universe(n)))
-    d, N = inst.d, inst.N
-    rng = random.Random(N)
-    nonzero = 0
-    for _ in range(6):
-        lams, V = rho_simple_eigenvalues(rng, n, d), random_invertible(rng, n)
-        A = matrix_with_eigenvectors(V, lams)
-        mus = [math.prod(l ** e for l, e in zip(lams, exps)) for exps in monomial_basis(n, d)]
-        W = sym_power_scalar(V, d)
-        CW = [sum(c * W[k][m] for k, c in enumerate(inst.C[0])) for m in range(N)]
-        vand = math.prod(mus[b] - mus[a] for a in range(N) for b in range(a + 1, N))
-        want = Fraction(math.prod(CW) * vand) / Fraction(_leibniz_det(V)) ** (d * N // n)
-        assert kalman_det_at(inst, A) == want
-        nonzero += want != 0
-    assert nonzero >= 3
+    # _eigen_det's closed form against the Krylov-row elimination at
+    # A = V diag(lams) V^-1, value and type: generic draws with integer V
+    # and with a column over 7, collision spectra and every mu-witness (whose
+    # V holds the Fraction columns of its vectors)
+    f = parse_polynomial(form, x_universe(n))
+    inst = KalmanInstance.from_form(f)
+    d = inst.d
+    rng = random.Random(inst.N)
+    generic = []
+    for k in range(4):
+        V = random_invertible(rng, n)
+        if k % 2:
+            V = [[Fraction(x, 7) if j == 0 else x for j, x in enumerate(r)] for r in V]
+        generic.append((V, rho_simple_eigenvalues(rng, n, d)))
+    vanishing = [(random_invertible(rng, n), collision_eigenvalues(rng, n, d)) for _ in range(2)]
+    witnesses = []
+    for mu in partitions(d, n):
+        try:
+            w = mu_witness(f, mu, seed=inst.N)
+        except (UnsupportedPartition, NoStrategy):
+            continue
+        witnesses.append((w.V, w.eigenvalues))
+    assert any(type(x) is Fraction for V, _ in witnesses for r in V for x in r)
+    values = []
+    for V, lams in generic + vanishing + witnesses:
+        want = kalman_det_at(inst, matrix_with_eigenvectors(V, lams))
+        got = kalman._eigen_det(inst, V, lams)
+        assert got == want and type(got) is type(want)
+        assert kalman._eigen_det(inst, V, lams, kalman._form_at_columns(inst, V)) == want
+        values.append(want)
+    assert sum(v != 0 for v in values[:len(generic)]) >= 3
+    assert values[len(generic):] == [0] * (len(vanishing) + len(witnesses))
+
+
+def test_eigen_det_rejects_singular_v_and_two_forms():
+    inst = KalmanInstance.from_form(F32)
+    with pytest.raises(SingularV, match="singular"):
+        kalman._eigen_det(inst, [[1, 2, 3], [2, 4, 6], [0, 0, 1]], [1, 2, 5])
+    with pytest.raises(DimensionMismatch):
+        kalman._eigen_det(inst, [[1, 0], [0, 1]], [1, 2])
+    u = x_universe(3)
+    two = KalmanInstance.from_generators([parse_polynomial("x1^2 - x2*x3", u),
+                                          parse_polynomial("x1*x2 + 3/2*x3^2", u)])
+    with pytest.raises(NonSquareMatrix, match="needs a single form"):
+        kalman._eigen_det(two, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 5])
+
+
+def _polarizations_nonzero(f, V) -> bool:
+    """The generic-draw test the audit ran before it read C rho_d(V): every
+    partition polarization f_mu is nonzero on every ordered tuple of s
+    distinct columns of V."""
+    n = len(V)
+    cols = list(zip(*V))
+    for mu in partitions(f.is_homogeneous(), n):
+        fmu = polarize(f, mu)
+        for idx in itertools.permutations(range(n), mu.s):
+            if fmu.evaluate([x for i in idx for x in cols[i]]) == 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("form,n", [
+    ("x1^2 - x2^2", 2),
+    ("x1^4 - x2^4 + x1*x2^3", 2),
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", 3),
+] + AUDIT_FORMS)
+def test_generic_draw_test_matches_polarizations(form, n):
+    # all(C rho_d(V)) decides a draw exactly as the polarizations do; the
+    # draws with a witness's columns, in a shuffled order, lie on the locus,
+    # and small entries hit it by chance
+    f = parse_polynomial(form, x_universe(n))
+    inst = KalmanInstance.from_form(f)
+    rng = random.Random(n * inst.d)
+    draws = [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in range(40)]
+    draws += [random_invertible(rng, n) for _ in range(5)]
+    for k, mu in enumerate(partitions(inst.d, n)):
+        try:
+            V = mu_witness(f, mu, seed=k).V
+        except (UnsupportedPartition, NoStrategy):
+            continue
+        order = rng.sample(range(n), n)
+        draws.append([[r[j] for j in order] for r in V])
+    outcomes = [all(kalman._form_at_columns(inst, V)) for V in draws]
+    assert outcomes == [_polarizations_nonzero(f, V) for V in draws]
+    assert True in outcomes and False in outcomes
 
 
 def test_kalman_matrix_at_matches_fraction_products_two_forms():
@@ -747,83 +815,51 @@ def test_audit_report_is_byte_identical(text, n, seed):
     assert digest == AUDIT_DIGESTS[text, n, seed]
 
 
-class _SpyExecutor(ProcessPoolExecutor):
-    """The audit's process pool, counting how many are built."""
-
-    built = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).built += 1
-        super().__init__(*args, **kwargs)
-
-
-@pytest.fixture
-def pooled(monkeypatch):
-    """Audits of any size on a pool of two forked workers."""
-    monkeypatch.setattr(kalman, "_POOL_MIN_WORK", 0)
-    monkeypatch.setattr(kalman.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(_SpyExecutor, "built", 0)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyExecutor)
-    return _SpyExecutor
+def test_generic_draw_rejects_a_v_on_the_locus(monkeypatch):
+    # the first V has the (1, 1)-witness columns, so C rho_2(V) has a zero
+    on_locus = mu_witness(F32, (1, 1), seed=0).V
+    generic = [[1, 2, 0], [0, 1, 3], [4, 0, 1]]
+    draws = iter([on_locus, generic])
+    monkeypatch.setattr(kalman, "random_invertible", lambda rng, n: next(draws))
+    lams, V, cw = kalman._generic_draw(random.Random(0), KalmanInstance.from_form(F32))
+    assert V == generic and cw == [-4, -8, -1, 1, 4, 9]
+    assert len(set(lams)) == 3
 
 
-@pytest.mark.parametrize("text,n", [("x2^2 - x1*x3", 3), ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 3)])
-def test_pooled_audit_matches_serial(pooled, text, n):
-    f = parse_polynomial(text, x_universe(n))
-    rep = factorization_audit(f, trials=4, seed=5)
-    assert pooled.built == 1
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kalman, "_POOL_MIN_WORK", 10 ** 30)
-        serial = factorization_audit(f, trials=4, seed=5)
-    assert pooled.built == 1
-    assert json.dumps(rep) == json.dumps(serial)
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == 1  # the next audit may fork again
+# sha256 of json.dumps(report, sort_keys=True), as the benchmark hashes it,
+# of factorization_audit(f, seed=seed) at the default 20 trials, recorded
+# while each determinant was still a Krylov-row elimination
+AUDIT_FORM_DIGESTS = {
+    ("x1^3 - x2*x3^2 + x4^3", 0): "dc41c581c5d4a4826fbc6605593b5d4d3fa23d1beefb243a69914aa06f5cc238",
+    ("x1^3 - x2*x3^2 + x4^3", 5): "9b80d921547f8713708612332831dc4e3b524708357163154fd8f6773f89d637",
+    ("x2^3 - x1^2*x3", 0): "e62dbc918e6cad2d59d4bef8a37314d899c96b688571cea9c91270377afb3986",
+    ("x2^3 - x1^2*x3", 5): "abb6e97778f004b9f28ea35d67c747818453825a391350c8ce0e8770febaaafd",
+    ("x2^2 - x1*x3", 0): "cb74a18febbacac0f9a4be5946f0595b7d8de0d880f1fbb74af1e670d6a9d26a",
+    ("x2^2 - x1*x3", 5): "9bc36c842dca8f4e327c9abb734088d11d8887b7183857b4d7dd55ae63a30c76",
+    ("x1^2 + x2*x3 - x4^2", 0): "20df853ab396efdde3d78b1c4ae8bf29e31f3df8cda494d9db7858340d882484",
+    ("x1^2 + x2*x3 - x4^2", 5): "3c0c5b260ed4717bc7575013ba3849df8911e6b293b479b71803e39c21acbe0a",
+    ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 0): "06feea6b3fe6876190f702588d3ba697bdd7d7bd8c052dce9ad110be7d3d31da",
+    ("x1^3 + x2^3 - x3^3 + x1*x2*x3", 5): "961a51eae93b78c6b03f9cb93cbf0ad71bd64ef71a6b79264b0f085c38fcefbc",
+}
 
 
-def test_pooled_audit_leaves_no_process_when_a_determinant_raises(pooled, monkeypatch):
-    def planted(rows, zero):  # runs in the forked workers
-        raise ZeroDivisionError("planted fault")
-
-    monkeypatch.setattr(kalman, "bareiss_det", planted)
-    with pytest.raises(ZeroDivisionError, match="planted fault"):
-        factorization_audit(F32, trials=3, seed=0)
-    assert pooled.built == 1
-    assert multiprocessing.active_children() == []
+@pytest.mark.parametrize("form,n", AUDIT_FORMS)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_benchmark_audit_reports_are_byte_identical(form, n, seed):
+    rep = factorization_audit(parse_polynomial(form, x_universe(n)), seed=seed)
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == AUDIT_FORM_DIGESTS[form, seed]
 
 
-# the conic's audit at 3 trials: 2 partitions, N = 6, d = 2
-F32_WORK = (2 + 2 * 3) * 6 ** 5 * 2 ** 2
+def test_audit_runs_no_kalman_matrix_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the audit formed a Kalman matrix")
 
-
-@pytest.mark.parametrize("threshold,built", [(F32_WORK, 1), (F32_WORK + 1, 0)])
-def test_audit_pools_from_the_threshold(pooled, monkeypatch, threshold, built):
-    monkeypatch.setattr(kalman, "_POOL_MIN_WORK", threshold)
-    assert factorization_audit(F32, trials=3, seed=0)["status"] == "pass"
-    assert pooled.built == built
-
-
-@pytest.mark.parametrize("setting", ["one CPU", "no fork"])
-def test_audit_runs_serially_without_a_second_cpu_or_fork(pooled, monkeypatch, setting):
-    if setting == "one CPU":
-        monkeypatch.setattr(kalman.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    else:
-        monkeypatch.delattr(kalman.os, "fork")
-    assert factorization_audit(F32, trials=3, seed=0)["status"] == "pass"
-    assert pooled.built == 0
-
-
-def test_audit_runs_serially_beside_another_thread(pooled):
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(30,))
-    other.start()
-    try:
-        assert factorization_audit(F32, trials=3, seed=0)["status"] == "pass"
-    finally:
-        release.set()
-        other.join(timeout=30)
-    assert not other.is_alive()
-    assert pooled.built == 0
+    monkeypatch.setattr(kalman, "kalman_det_at", refuse)
+    monkeypatch.setattr(kalman, "kalman_matrix_at", refuse)
+    f = parse_polynomial("x1^3 - x2*x3^2 + x4^3", x_universe(4))
+    rep = factorization_audit(f, trials=3, seed=0)
+    assert rep["status"] == "pass" and len(rep["assertions"]) == 4
 
 
 # -- special locus matrices ---------------------------------------------------------------
