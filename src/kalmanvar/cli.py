@@ -48,6 +48,7 @@ from .polymatrix import PolyMatrix
 from .salmon import g1_factor, kalman_conic_equation
 from .veronese import basis_size, check_sym_power_size, sym_power
 from .witness import (
+    matrix_with_eigenvectors,
     mu_witness,
     sample_on_hypersurface,
     special_locus_matrix,
@@ -256,7 +257,8 @@ def _cmd_witness(args: argparse.Namespace) -> str:
         mu = _int_list(args.mu, "--mu")
         w = mu_witness(f, mu, seed=args.seed)
         return _report(args, {"f": f.to_text(), "mu": mu, "seed": args.seed,
-                              "A": [[str(x) for x in row] for row in w.A],
+                              "A": [[str(x) for x in row]
+                                    for row in matrix_with_eigenvectors(w.V, w.eigenvalues)],
                               "eigenvalues": [str(x) for x in w.eigenvalues],
                               "vectors": [[str(x) for x in v] for v in w.vectors],
                               "certificate": w.certificate})

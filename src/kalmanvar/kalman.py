@@ -11,17 +11,18 @@ with an eigenvector lying on the common zero locus of the observed forms,
 which makes the square (p = 1) determinant a single equation certifying
 eigenpoint membership.
 
-This module constructs these matrices symbolically and numerically,
-computes the hypersurface determinant, measures vanishing orders of the
-determinant and of spectral discriminants along rational lines, and runs
-a randomized-but-seeded audit of the determinant's factorization into a
+This module constructs these matrices symbolically and at rational
+matrices (det K(A0) is qmat_det of `kalman_matrix_at`), computes the
+hypersurface determinant, measures vanishing orders of the determinant
+and of spectral discriminants along rational lines, and runs a
+randomized-but-seeded audit of the determinant's factorization into a
 saturated-discriminant square root times one factor per eigenvalue
-partition.  Everything is exact rational arithmetic.
+partition, by an eigen-product identity (`_eigen_det`).  Everything is
+exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .enumerative import discriminant_budget, partitions
+from .enumerative import discriminant_budget, partition_count, partitions
 from .polycore import (
     Polynomial,
     ProblemTooLarge,
@@ -47,7 +48,6 @@ from .polymatrix import (
     DimensionMismatch,
     NonSquareMatrix,
     PolyMatrix,
-    bareiss_det,
     char_poly_coeffs,
     qmat_det,
     qmat_rank,
@@ -176,75 +176,29 @@ def check_kalman_matrix_size(inst: KalmanInstance) -> None:
             f"the limit is MAX_KALMAN_TERMS = {MAX_KALMAN_TERMS}")
 
 
-def _krylov_rows(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]):
-    """Yield every row of kalman_matrix(inst, A0), block by block, as
-    (v, num, den): the row is num/den * v, with v a primitive integer row
-    (content 1; a zero row has num = 0).
-
-    With c the lcm of the denominators of A0, rho_d(c A0) = c^d rho_d(A0)
-    has integer entries.  Each row of C, cleared of its denominators, is
-    iterated as v <- v rho_d(c A0), divided by its content as it is formed,
-    so the entries grow by the matrix alone, not by the powers of c^d and
-    of the contents that the exact row carries; num/den absorbs both.
+def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """kalman_matrix evaluated at a rational matrix, in integer arithmetic
+    throughout, integral entries as ints.  With c the lcm of the
+    denominators of A0, rho_d(c A0) = c^d rho_d(A0) is integral: the rows of
+    C, cleared of denominators, are iterated as v <- v rho_d(c A0), and row
+    block i is v / den, den reduced by the common factor of den and v.
     """
     if len(A0) != inst.n or any(len(r) != inst.n for r in A0):
         raise DimensionMismatch(f"A0 must be {inst.n}x{inst.n}")
     c = math.lcm(*(x.denominator for r in A0 for x in r))
     cols = list(zip(*sym_power_scalar(
         [[x.numerator * (c // x.denominator) for x in r] for r in A0], inst.d)))
-    cd = c ** inst.d
-    block = []
-    for r in inst.C:
-        s = math.lcm(*(x.denominator for x in r))
-        v = [x.numerator * (s // x.denominator) for x in r]
-        g = math.gcd(*v)  # nonzero: C has full row rank
-        block.append(([x // g for x in v], g, s))
-    yield from block
-    for _ in range(inst.N - inst.p):
-        nxt = []
-        for v, num, den in block:
-            w = [sum(map(operator.mul, v, col)) for col in cols]
-            g = math.gcd(*w)
-            nxt.append((w if g < 2 else [x // g for x in w], num * g, den * cd))
-        block = nxt
-        yield from block
-
-
-def kalman_matrix_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """kalman_matrix evaluated at a rational matrix, computed in integer
-    arithmetic throughout (no symbolic detour): the rows of C, then the
-    rows of `_krylov_rows` scaled back to their exact values (integral ones
-    as ints)."""
+    den = math.lcm(*(x.denominator for r in inst.C for x in r))
+    block = [[x.numerator * (den // x.denominator) for x in r] for r in inst.C]
     rows = [list(r) for r in inst.C]
-    for v, num, den in itertools.islice(_krylov_rows(inst, A0), inst.p, None):
-        m = Fraction(num, den)
-        if m.denominator == 1:
-            rows.append([m.numerator * x for x in v])
-        else:
-            rows.append([_demote(Fraction(m.numerator * x, m.denominator)) for x in v])
+    for _ in range(inst.N - inst.p):
+        block = [[sum(map(operator.mul, v, col)) for col in cols] for v in block]
+        den *= c ** inst.d
+        g = math.gcd(den, *(x for v in block for x in v))
+        if g > 1:
+            block, den = [[x // g for x in v] for v in block], den // g
+        rows += block if den == 1 else [[_demote(Fraction(x, den)) for x in v] for v in block]
     return rows
-
-
-def _check_single_form(inst: KalmanInstance) -> None:
-    """Raise NonSquareMatrix unless K of `inst` is square (p = 1)."""
-    if inst.p != 1:
-        raise NonSquareMatrix(
-            f"K has {inst.p * (inst.N - inst.p + 1)} rows and {inst.N} columns; "
-            "its determinant needs a single form")
-
-
-def kalman_det_at(inst: KalmanInstance, A0: Sequence[Sequence[Scalar]]) -> Scalar:
-    """det K(A0) of a single-form instance, equal to
-    qmat_det(kalman_matrix_at(inst, A0)): one Bareiss elimination of the
-    primitive rows of `_krylov_rows`, times the product of their
-    multipliers.  Raises NonSquareMatrix for p > 1."""
-    _check_single_form(inst)
-    rows, num, den = [], 1, 1
-    for v, a, b in _krylov_rows(inst, A0):
-        rows.append(v)
-        num *= a
-        den *= b
-    return _demote(Fraction(bareiss_det(rows, 0) * num, den))
 
 
 def _form_at_columns(inst: KalmanInstance, V: Sequence[Sequence[Scalar]]) -> list[Scalar]:
@@ -256,8 +210,8 @@ def _form_at_columns(inst: KalmanInstance, V: Sequence[Sequence[Scalar]]) -> lis
 def _eigen_det(inst: KalmanInstance, V: Sequence[Sequence[Scalar]], lams: Sequence[Scalar],
                cw: Sequence[Scalar] | None = None) -> Scalar:
     """det K(A) at A = V diag(lams) V^-1 of a single-form instance, equal to
-    kalman_det_at(inst, A) in value and type, without forming A or K.
-    `cw`, when given, is `_form_at_columns(inst, V)`.
+    qmat_det(kalman_matrix_at(inst, A)) in value and type, without forming
+    A or K.  `cw`, when given, is `_form_at_columns(inst, V)`.
 
     rho_d is multiplicative and sends diag(lams) to diag(mu), with
     mu_alpha = lams^alpha over the basis monomials alpha.  So with
@@ -279,7 +233,10 @@ def _eigen_det(inst: KalmanInstance, V: Sequence[Sequence[Scalar]], lams: Sequen
     Raises NonSquareMatrix for p > 1, DimensionMismatch unless V is n x n
     with n eigenvalues, and SingularV for a singular V.
     """
-    _check_single_form(inst)
+    if inst.p != 1:
+        raise NonSquareMatrix(
+            f"K has {inst.p * (inst.N - inst.p + 1)} rows and {inst.N} columns; "
+            "its determinant needs a single form")
     n, d, N = inst.n, inst.d, inst.N
     if len(V) != n or len(lams) != n:
         raise DimensionMismatch(f"V must be {n}x{n} with {n} eigenvalues")
@@ -491,14 +448,15 @@ def _case_assertion(name: str, witness_seed: int, cases: list[dict]) -> dict:
             "witness_seed": witness_seed, "certificate": {"cases": cases}}
 
 
-# The largest audit, as a bound on its work: (len(partitions) + 2*trials)
-# * N^5 * d^2 units, the cost of as many Bareiss eliminations of N x N
-# Kalman matrices.  The audit's determinants are `_eigen_det`'s product
-# formula, so the bound lies far above its time: on a 2-core Xeon N = 20,
-# d = 3 at 20 trials (1.2e9 units, the largest benchmark audit) took
-# 24-30 ms, and N = 35, d = 4 at 3 trials (9.2e9, the largest accepted)
-# 37-53 ms.
-MAX_AUDIT_WORK = 10 ** 10
+# The largest audit, as a bound on its work: each case (a witness per
+# partition, 2*trials draws) costs 4096 units for its draws, n*d*N^2 for
+# rho_d(V), and (d*C(N, 2))^2 / 1024 for the Vandermonde product, whose
+# cost grows with the square of its length.  On a 2-core Xeon, limit
+# lifted, (n, d, trials): units, time were (2, 2, 1000) 8.3e6 0.26 s;
+# (3, 3, 500) 5.0e6 0.42 s; (4, 4, 20) 1.3e6 0.10 s; (5, 4, 20) 8.7e6
+# 0.53 s; (3, 10, 20) 3.2e7 1.7 s; (5, 5, 20) 9.0e7 3.1 s; refused:
+# (10, 3, 20) 2.8e8 9.3 s; (4, 8, 20) 6.8e8 23 s; (3, 15, 20) 1.3e9 36 s.
+MAX_AUDIT_WORK = 10 ** 8
 
 
 def _trial_assertion(name: str, inst: KalmanInstance, seed: int, base: int, trials: int,
@@ -539,18 +497,20 @@ def factorization_audit(f: Polynomial, *, trials: int = 20, seed: int = 0) -> di
     determinant nor a Kalman matrix is formed.  Witness construction
     failures are reported per case, not fatal.  The report is
     deterministic for a fixed seed and JSON-safe.  Raises
-    `ProblemTooLarge`, before any work, when (partitions + 2*trials) *
-    N^5 * d^2 exceeds MAX_AUDIT_WORK.
+    `ProblemTooLarge`, before any work, when its work (in the units of
+    MAX_AUDIT_WORK) exceeds MAX_AUDIT_WORK.
     """
-    inst = KalmanInstance.from_form(f)
-    n, d, N = inst.n, inst.d, inst.N
-    mus = partitions(d, n)
-    work = (len(mus) + 2 * trials) * N ** 5 * d ** 2
+    n, d = _form_nd(f)
+    N = basis_size(n, d)
+    cases = partition_count(d, n) + 2 * trials
+    work = cases * (4096 + n * d * N * N + (d * math.comb(N, 2)) ** 2 // 1024)
     if work > MAX_AUDIT_WORK:
         raise ProblemTooLarge(
             f"an audit of {trials} trials of a degree-{d} form in {n} variables "
             f"(N = {N}) may take {work} units of work; the limit is "
             f"MAX_AUDIT_WORK = {MAX_AUDIT_WORK}")
+    inst = KalmanInstance.from_form(f)
+    mus = partitions(d, n)
     assertions: list[dict] = []
 
     # degree budget

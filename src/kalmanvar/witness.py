@@ -253,10 +253,9 @@ def sample_on_hypersurface(f: Polynomial, seed: int = 0,
 
 @dataclass
 class MuWitness:
-    """A matrix A = V diag(eigenvalues) V^-1 whose first s eigenvector
-    columns of V, `vectors`, kill the polarization."""
+    """Eigenvectors V and eigenvalues of A = V diag(eigenvalues) V^-1 (not
+    formed); the first s columns of V, `vectors`, kill the polarization."""
 
-    A: list[list[Scalar]]
     V: list[list[Scalar]]
     vectors: list[list[Scalar]]
     eigenvalues: list[Scalar]
@@ -322,9 +321,9 @@ def _independent(vectors: list[list[Scalar]]) -> bool:
 
 def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], *,
                seed: int = 0) -> MuWitness:
-    """A rational matrix A of f's size with independent eigenvectors v_1,
-    ..., v_s such that the mu-polarization of f (`polarize`, which rejects
-    an f not of degree |mu|) vanishes exactly there.
+    """V and eigenvalues of a rational matrix A of f's size with independent
+    eigenvectors v_1, ..., v_s such that the mu-polarization of f
+    (`polarize`, which rejects an f not of degree |mu|) vanishes exactly there.
 
     Supported shapes: mu = (d) (a point on the hypersurface from
     `sample_on_hypersurface`, which raises `NoStrategy` when none of its
@@ -358,7 +357,6 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], *,
             lams = rho_simple_eigenvalues(rng, n, mu.d)
         except RetryExhausted:
             continue
-        A = matrix_with_eigenvectors(V, lams)
         cert = {
             "seed": seed,
             "mu": list(mu.parts),
@@ -371,7 +369,7 @@ def mu_witness(f: Polynomial, mu: PartitionType | Sequence[int], *,
                 "eigenvalues_distinct": True,
             },
         }
-        return MuWitness(A=A, V=V, vectors=[list(v) for v in vectors],
+        return MuWitness(V=V, vectors=[list(v) for v in vectors],
                          eigenvalues=lams, certificate=cert)
     raise RetryExhausted(f"no witness for mu={mu.parts} within budget")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.resources
 import json
 import os
@@ -313,7 +314,7 @@ def test_kalman_det_beyond_size_limit_is_input_error(capsys, form, N):
      "the limit is MAX_KALMAN_TERMS = 20000000"),
     (["kalman-matrix", "--f", "x1^12 + x2^12"], "product exponent would exceed 7-bit field"),
     (["witness", "--n", "200", "--kind", "rank_deficient"], "the limit is MAX_SPECIAL_N = 30"),
-    (["audit", "--f", "x1^4+x2^4+x3^4+x4^4"], "the limit is MAX_AUDIT_WORK = 10000000000"),
+    (["audit", "--f", "x1^40 + x10^40"], "the limit is MAX_AUDIT_WORK = 100000000"),
 ])
 def test_size_limits_are_input_errors(capsys, argv, limit):
     start = time.perf_counter()
@@ -577,6 +578,68 @@ def test_witness_mu_json_deterministic(capsys):
     assert out1 == out2
     obj = json.loads(out1)
     assert obj["certificate"]["checks"]["polarization_value"] == "0"
+
+
+# sha256 of the stdout of `witness --f F --mu M --seed S --format FMT`,
+# recorded while the witness still carried the matrix A it prints
+WITNESS_MU_DIGESTS = {
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "1,1", 12, "json"):
+        "3072c9ebd867f86c798d4a4ee818b722ae7fe4bb4f727152065c969f34470e06",
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "1,1", 12, "text"):
+        "44caca2166d0bf00173d52d56aefb46a53031ddfbfbaac2c4038e432a562c69b",
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "1,1", 3, "json"):
+        "c1a7934a5d165ce7686c223e665d7a5695e8b8e3e1ff88421d6d379c2d472658",
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "1,1", 3, "text"):
+        "8f2e97f7da3521f62011bee49b3e404b8a2bc79d46f41f3ff8ee9264ebb8437f",
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "2", 12, "json"):
+        "bd9cafe83b5f60ff4db4dc5dc05acbe3bc0467a53df5752ba99e4719bc582bc7",
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "2", 12, "text"):
+        "b85f04293eacaaa4a6a51bbba473ee528925c80c475cbe28f85ebfbec177ef60",
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "2", 3, "json"):
+        "d49ab02d543bf6c47af513ab9fcce54afff98c3070ba56c8e5ed24d65ebb78d0",
+    ("3/2*x1^2 - x2*x3 + 1/3*x3^2", "2", 3, "text"):
+        "4f9ed0c51a49a4c553201853f53ac90d73b33cb60c8ead7577582cd557d983a4",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "1,1", 12, "json"):
+        "88c610dfb5085de01cb835947163ff9fda095e5564557ed380203db6dd455fa9",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "1,1", 12, "text"):
+        "0bafbe9180b4aa705ec87b104b19ebb68ea465fd62771cd36f8d7f2be7c64825",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "1,1", 3, "json"):
+        "b645cb945c477339506ae118a77ac167f256d9e0d93647774e1ffeb581e34e24",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "1,1", 3, "text"):
+        "59156d0e6e1f3ff11e51bd1dd66615fc6b4cdc14e1583a35fbcd58d23f2b5eb2",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "2", 12, "json"):
+        "f3442197f03a72aab883adabcb5e24c1452868790f0fbe8a3263ff5295b258cb",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "2", 12, "text"):
+        "7d1ceed9149581e8319554c6b98dc2f8d7b2681c6e9d3cb38431db7c8d4673f0",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "2", 3, "json"):
+        "321c37b93d326940489a18e17e5d3fe3f6610c66d4d81178d594c158774c52fb",
+    ("x1^2 - 3*x1*x2 + 2*x2^2", "2", 3, "text"):
+        "a5b8d12f4b88e2cbedda26104e4ebd9d9cb43ff4e35ef8d96b156e7375ca30c4",
+    ("x2^2 - x1*x3", "1,1", 12, "json"):
+        "f47bb67b50fceb5908e97b1d96f68b97c1f381e8e25d9db4d864105c47bb9134",
+    ("x2^2 - x1*x3", "1,1", 12, "text"):
+        "95051f355b7db88acfda434c78ff3e1246be1a8445ac19d24090147ec1774087",
+    ("x2^2 - x1*x3", "1,1", 3, "json"):
+        "fd7524e907415fe172c9c6bcb1ce912d444b99352a1f2e73e1910dbab371e0b6",
+    ("x2^2 - x1*x3", "1,1", 3, "text"):
+        "bce632d1b7fbefceaa4cba02d71c59a5a85205b2053dd2ce13f3810b5065b166",
+    ("x2^2 - x1*x3", "2", 12, "json"):
+        "7927ac96e69f42bc72e855581012784fad92f307b0859777fd2dbecc7fdd298c",
+    ("x2^2 - x1*x3", "2", 12, "text"):
+        "cf028a3d250012ec7fd67a136a69b806f2185ff211dcc5fd22153950ef971c15",
+    ("x2^2 - x1*x3", "2", 3, "json"):
+        "2b9df5b1eb2cf5eaab262045ac5172378040d57f86febe1a89e6a076b0ecc8f2",
+    ("x2^2 - x1*x3", "2", 3, "text"):
+        "513a70739add31d44e1d8f1b43e13d9c50e3c753673f545401a1689288a37833",
+}
+
+
+@pytest.mark.parametrize("form,mu,seed,fmt", sorted(WITNESS_MU_DIGESTS))
+def test_witness_mu_stdout_is_pinned(capsys, form, mu, seed, fmt):
+    rc, out, _ = run(capsys, ["witness", "--f", form, "--mu", mu, "--seed", str(seed),
+                              "--format", fmt])
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_MU_DIGESTS[form, mu, seed, fmt]
 
 
 def test_witness_point_text(capsys):

@@ -1,12 +1,13 @@
 """Every name a module imports is read in that module, no function imports
-a module its file already imports at module level, and every private
+a module its file already imports at module level, every private
 definition and module-level constant in the package is used somewhere in
-it."""
+it, and every object the traced benchmark wraps exists."""
 
 from __future__ import annotations
 
 import ast
 import collections
+import importlib
 import pathlib
 
 import pytest
@@ -116,3 +117,29 @@ def test_unreferenced_private_definitions_detected():
 
 def test_every_private_definition_is_referenced():
     assert unreferenced_private_definitions([p.read_text() for p in PACKAGE]) == []
+
+
+def _spans_paths() -> dict[str, list[str]]:
+    """FUNCTIONS and METHODS of perfbench/spans.py, read from its source:
+    layer -> dotted paths (module, then attributes) in the package."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    tables = {t.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if isinstance(t, ast.Name) and t.id in ("FUNCTIONS", "METHODS")}
+    assert sorted(tables) == ["FUNCTIONS", "METHODS"]
+    return tables
+
+
+@pytest.mark.parametrize("table", ["FUNCTIONS", "METHODS"])
+def test_every_traced_path_resolves(table):
+    # the traced benchmark wraps these by name, and crashes on one that is gone
+    missing = []
+    for paths in _spans_paths()[table].values():
+        for path in paths:
+            mod, *attrs = path.split(".")
+            owner = importlib.import_module(f"kalmanvar.{mod}")
+            for attr in attrs:
+                owner = getattr(owner, attr, None)
+            if not callable(owner):
+                missing.append(path)
+    assert missing == []

@@ -35,7 +35,6 @@ from kalmanvar.kalman import (
     factor_order_along_line,
     factorization_audit,
     kalman_det,
-    kalman_det_at,
     kalman_matrix,
     kalman_matrix_at,
     membership_necessary,
@@ -190,27 +189,6 @@ def test_kalman_matrix_at_matches_fraction_products(n, d):
         _assert_same_entries(kalman_matrix_at(inst, A0), _kalman_matrix_at_fractions(inst, A0))
 
 
-@pytest.mark.parametrize("n,d", SIZES)
-def test_kalman_det_at_matches_qmat_det(n, d):
-    rng = random.Random(100 * n + d)
-    inst = _random_instance(rng, n, d)
-    zero = [[0] * n for _ in range(n)]  # K's rows past C vanish
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]  # K's rows all equal C
-    for A0 in [*_test_matrices(rng, n), zero, identity]:
-        want = qmat_det(kalman_matrix_at(inst, A0))
-        got = kalman_det_at(inst, A0)
-        assert got == want and type(got) is type(want)
-    assert kalman_det_at(inst, zero) == kalman_det_at(inst, identity) == 0
-
-
-def test_kalman_det_at_needs_one_form():
-    u = x_universe(3)
-    inst = KalmanInstance.from_generators([parse_polynomial("x1^2 - x2*x3", u),
-                                           parse_polynomial("x1*x2 + 3/2*x3^2", u)])
-    with pytest.raises(NonSquareMatrix, match="needs a single form"):
-        kalman_det_at(inst, _test_matrices(random.Random(7), 3)[0])
-
-
 # the forms of the benchmark's audit workload (perfbench/workloads.py)
 AUDIT_FORMS = [
     ("x1^3 - x2*x3^2 + x4^3", 4),
@@ -228,8 +206,8 @@ AUDIT_FORMS = [
     ("3/2*x1^2 - x2*x3 + 1/3*x3^2", 3),
 ] + AUDIT_FORMS)
 def test_kalman_det_at_matches_eigen_product(form, n):
-    # _eigen_det's closed form against the Krylov-row elimination at
-    # A = V diag(lams) V^-1, value and type: generic draws with integer V
+    # _eigen_det's closed form against the determinant of the Kalman matrix
+    # at A = V diag(lams) V^-1, value and type: generic draws with integer V
     # and with a column over 7, collision spectra and every mu-witness (whose
     # V holds the Fraction columns of its vectors)
     f = parse_polynomial(form, x_universe(n))
@@ -253,7 +231,7 @@ def test_kalman_det_at_matches_eigen_product(form, n):
     assert any(type(x) is Fraction for V, _ in witnesses for r in V for x in r)
     values = []
     for V, lams in generic + vanishing + witnesses:
-        want = kalman_det_at(inst, matrix_with_eigenvectors(V, lams))
+        want = qmat_det(kalman_matrix_at(inst, matrix_with_eigenvectors(V, lams)))
         got = kalman._eigen_det(inst, V, lams)
         assert got == want and type(got) is type(want)
         assert kalman._eigen_det(inst, V, lams, kalman._form_at_columns(inst, V)) == want
@@ -505,23 +483,23 @@ def test_kalman_matrix_size_limit_edge(text, n, bound):
 
 
 @pytest.mark.parametrize("trials,work", [
-    (3, 9_243_850_000),  # the most trials accepted
-    (4, 10_924_550_000),  # the fewest rejected
+    (22, 97_667_499),  # the most trials accepted
+    (23, 101_497_597),  # the fewest rejected
 ])
 def test_audit_size_limit_edge(monkeypatch, trials, work):
-    # the quaternary quartic: N = 35, d = 4 and 5 partitions, so the work
-    # is (5 + 2 * trials) * 35^5 * 4^2
+    # the quinary quintic: N = 126, d = 5 and 7 partitions, so the work is
+    # (7 + 2 * trials) * (4096 + 5 * 5 * 126^2 + (5 * C(126, 2))^2 // 1024)
     def budget(*args):
         raise _Reached
 
     monkeypatch.setattr(kalman, "discriminant_budget", budget)
-    f = parse_polynomial("x1^4 + x2^4 + x3^4 + x4^4", x_universe(4))
+    f = parse_polynomial("x1^5 + x2^5 + x3^5 + x4^5 + x5^5", x_universe(5))
     if work <= MAX_AUDIT_WORK:
         with pytest.raises(_Reached):
             factorization_audit(f, trials=trials)
     else:
         with pytest.raises(ProblemTooLarge, match=f"may take {work} units of work; "
-                                                  "the limit is MAX_AUDIT_WORK = 10000000000"):
+                                                  "the limit is MAX_AUDIT_WORK = 100000000"):
             factorization_audit(f, trials=trials)
 
 
@@ -855,7 +833,6 @@ def test_audit_runs_no_kalman_matrix_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("the audit formed a Kalman matrix")
 
-    monkeypatch.setattr(kalman, "kalman_det_at", refuse)
     monkeypatch.setattr(kalman, "kalman_matrix_at", refuse)
     f = parse_polynomial("x1^3 - x2*x3^2 + x4^3", x_universe(4))
     rep = factorization_audit(f, trials=3, seed=0)

@@ -216,7 +216,7 @@ def test_mu_witness_all_partitions(f, n, d):
 
 def test_mu_witness_vectors_are_eigenvectors():
     w = mu_witness(F32, (2,), seed=1)
-    A = w.A
+    A = matrix_with_eigenvectors(w.V, w.eigenvalues)
     v = w.vectors[0]
     lam = w.eigenvalues[0]
     assert qmat_vec(A, v) == [lam * x for x in v]
@@ -226,13 +226,13 @@ def test_mu_witness_trivial_partition_point_on_hypersurface():
     w = mu_witness(F22, (2,), seed=5)
     assert F22.evaluate(tuple(w.vectors[0])) == 0
     inst = KalmanInstance.from_form(F22)
-    assert membership_necessary(inst, w.A)
+    assert membership_necessary(inst, matrix_with_eigenvectors(w.V, w.eigenvalues))
 
 
 def test_mu_witness_deterministic():
     a = mu_witness(F32, (1, 1), seed=99)
     b = mu_witness(F32, (1, 1), seed=99)
-    assert a.A == b.A and a.vectors == b.vectors
+    assert a.V == b.V and a.eigenvalues == b.eigenvalues and a.vectors == b.vectors
 
 
 def test_mu_witness_unsupported_partition():
@@ -268,7 +268,7 @@ def test_mu_witness_kalman_det_vanishes():
     for mu in [(2,), (1, 1)]:
         for trial in range(3):
             w = mu_witness(F22, mu, seed=derive_seed(7, trial))
-            flat = tuple(x for row in w.A for x in row)
+            flat = tuple(x for row in matrix_with_eigenvectors(w.V, w.eigenvalues) for x in row)
             assert det.evaluate(flat) == 0, mu
 
 
