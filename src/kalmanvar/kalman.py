@@ -41,6 +41,7 @@ from .polycore import (
     a_universe,
     lru,
     root_multiplicity_at_zero,
+    sum_of_products,
     t_universe,
     univariate_discriminant,
 )
@@ -145,13 +146,17 @@ def kalman_matrix(inst: KalmanInstance, A: PolyMatrix) -> PolyMatrix:
     """
     if not A.is_square() or A.nrows != inst.n:
         raise DimensionMismatch(f"A must be {inst.n}x{inst.n}")
-    R = sym_power(A, inst.d)
-    block = PolyMatrix.from_scalars(A.u, inst.C)
-    rows = [list(r) for r in block.rows]
-    for _ in range(inst.N - inst.p):
-        block = block * R
-        rows.extend(list(r) for r in block.rows)
-    return PolyMatrix(A.u, rows)
+    C = PolyMatrix.from_scalars(A.u, inst.C)
+    return PolyMatrix(A.u, C.rows + _krylov_rows(C, sym_power(A, inst.d), inst.N - inst.p))
+
+
+def _krylov_rows(block: PolyMatrix, M: PolyMatrix, count: int) -> list[list[Polynomial]]:
+    """The rows of the blocks block * M^i, i = 1..count."""
+    rows = []
+    for _ in range(count):
+        block = block * M
+        rows += block.rows
+    return rows
 
 
 # The largest symbolic Kalman matrix of the generic n x n matrix, as a bound
@@ -252,16 +257,59 @@ def _eigen_det(inst: KalmanInstance, V: Sequence[Sequence[Scalar]], lams: Sequen
 
 # The largest N whose symbolic det K_d is computed.  At N = 7 (binary
 # sextics) the time depends on the form's support: on a 2-core Xeon the
-# 3-term x1^6 + 2*x1*x2^5 - 3*x2^6 takes 35-38 s, and the 5-term
-# x1^6 + 2*x1^5*x2 - 3*x1^3*x2^3 + x1*x2^5 - 5*x2^6 166-170 s and 116 MB,
-# most of it in kernel calls on exact Python ints.  Nothing larger has
-# ever finished.
+# 3-term x1^6 + 2*x1*x2^5 - 3*x2^6 takes 0.4-0.7 s and the 5-term
+# x1^6 + 2*x1^5*x2 - 3*x1^3*x2^3 + x1*x2^5 - 5*x2^6 0.9-1.3 s and 65 MB
+# peak RSS.  N = 8 stays out however fast it would run: det K_7 of a
+# binary septic has degree 7 * C(8, 2) = 196, past the 7-bit exponent
+# field; with the limit lifted, x1^7 + 2*x1*x2^6 - 3*x2^7 raised
+# ExponentOverflow after 71 s.
 MAX_DET_N = 7
 
 # Least-recently-used determinants; one entry can hold ~700k terms (the
 # full conic det K_2), so only a few are kept.
 _DET_CACHE_SIZE = 8
 _DET_CACHE: OrderedDict[tuple, Polynomial] = OrderedDict()
+
+
+def _inverse_split(n: int, d: int) -> tuple[int, int, int]:
+    """(k, E, sigma) of the identity in `kalman_det` for degree-d forms in
+    n variables: k maximizes E, since E(k + 1) - E(k) = d*(N/n - k - 1),
+    capped at N - 1; for d = 1, k = 1 would give E = 0, so k = 0."""
+    N = basis_size(n, d)
+    k = 0 if d == 1 else min(N // n, N - 1)
+    E = k * math.comb(n + d - 1, d - 1) - d * k * (k + 1) // 2
+    sigma = -1 if (k * (k - 1) // 2 + k * (N - k)) % 2 else 1
+    return k, E, sigma
+
+
+def _adjugate(A: PolyMatrix) -> PolyMatrix:
+    """adj A, the transposed matrix of cofactors: n^2 determinants of
+    order n - 1."""
+    n = A.nrows
+
+    def cofactor(i: int, j: int) -> Polynomial:
+        minor = PolyMatrix(A.u, [[e for c, e in enumerate(r) if c != j]
+                                 for r_i, r in enumerate(A.rows) if r_i != i]).det()
+        return -minor if (i + j) % 2 else minor
+
+    return PolyMatrix(A.u, [[cofactor(j, i) for j in range(n)] for i in range(n)])
+
+
+def _kalman_det_of(inst: KalmanInstance, A: PolyMatrix) -> Polynomial:
+    """det kalman_matrix(inst, A) of a single-form instance at any square
+    A of size n, not normalized, by the identity in `kalman_det`."""
+    n, d, N = inst.n, inst.d, inst.N
+    k, E, sigma = _inverse_split(n, d)
+    C = PolyMatrix.from_scalars(A.u, inst.C)
+    rows = C.rows + _krylov_rows(C, sym_power(A, d), N - 1 - k)
+    if k:
+        adj = _adjugate(A)
+        rows += _krylov_rows(C, sym_power(adj, d), k)
+    det = PolyMatrix(A.u, rows).det()
+    if k:
+        det_a = sum_of_products(A.u, [(1, A[0, j], adj[j, 0]) for j in range(n)])
+        det = det * det_a ** E
+    return -det if sigma < 0 else det
 
 
 def kalman_det(f: Polynomial) -> Polynomial:
@@ -272,6 +320,24 @@ def kalman_det(f: Polynomial) -> Polynomial:
     Homogeneous of total degree d*C(N,2) whenever no structural
     cancellation occurs (generic full-support forms).  Raises
     `ProblemTooLarge`, before any work, when N exceeds MAX_DET_N.
+
+    The top Krylov rows C R^i, of degree d*i, are traded for low powers of
+    S = rho_d(adj A), by the polynomial identity
+
+        det K_d(A) = sigma * det(A)^E * det K^,
+        K^ = [C; C R; ...; C R^(N-1-k); C S; C S^2; ...; C S^k],
+        R = rho_d(A),  E = k*C(n+d-1, d-1) - d*k*(k+1)/2,
+        sigma = (-1)^(k*(k-1)/2 + k*(N-k)),
+
+    with k from `_inverse_split`: k = min(floor(N/n), N - 1) for d >= 2,
+    and k = 0 for d = 1.  It holds for every square A because it holds
+    wherever A is invertible.  There rho_d is multiplicative, so
+    det R = det(A)^C(n+d-1, d-1) and C R^-j = C S^j / det(A)^(d*j), since
+    A^-1 = adj A / det A.  Then det K = det(R)^k * det(K R^-k), the rows of
+    K R^-k are C R^(i-k) for i = 0..N-1, and clearing det(A)^(d*j) from the
+    row C R^-j, j = 1..k, leaves det(A)^E.  Moving those k rows, in the
+    order C S^k, ..., C S, below the other N - k and reversing them gives
+    sigma.
     """
     n, d = _form_nd(f)
     N = basis_size(n, d)
@@ -283,8 +349,7 @@ def kalman_det(f: Polynomial) -> Polynomial:
     key = (fc.u.names, fc.to_text())
 
     def det():
-        K = kalman_matrix(KalmanInstance.from_form(fc), PolyMatrix.generic(n))
-        return K.det().canonical()
+        return _kalman_det_of(KalmanInstance.from_form(fc), PolyMatrix.generic(n)).canonical()
 
     return lru(_DET_CACHE, _DET_CACHE_SIZE, key, det)
 

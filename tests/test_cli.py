@@ -280,6 +280,24 @@ def test_kalman_det_matches_library(capsys):
     assert det == expect
 
 
+# sha256 of the stdout of `kalman-det --f F`, recorded while det K was
+# still the cofactor expansion of the plain Krylov matrix
+KALMAN_DET_DIGESTS = {
+    "x1^3 + 2*x1*x2^2 - x2^3": "1fd8e10d3d7f079f82338a5016fde7fb66216ea6c71a75fb325fa50b6bd2b0a4",
+    "x1^4 + 2*x1*x2^3 - x2^4": "19f702f74edd7076ca48770e47a104dc5835b0ac8a4cbe2d40766b36a10c11ae",
+    "x1^5 + 2*x1*x2^4 - x2^5": "a6cc59c8b68533ddbb3533c902a99016d6b663f0ef878edad20abecae8bf3732",
+    "x1^5 - 7*x1^2*x2^3 - 5*x2^5": "1babd8df2efd5325460d2fd4594275e8428fd0d75b5af03b6b63a8af62cb480c",
+    "x1^2-x2^2": "fecf061219fcc0818ed1d5c0c9a1841cd7ff969056ecf71ff8d5d1f0f6bd20d0",
+}
+
+
+@pytest.mark.parametrize("form", sorted(KALMAN_DET_DIGESTS))
+def test_kalman_det_stdout_is_pinned(capsys, form):
+    rc, out, _ = run(capsys, ["kalman-det", "--f", form])
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == KALMAN_DET_DIGESTS[form]
+
+
 def test_kalman_matrix_json(capsys):
     rc, out, _ = run(capsys, ["kalman-matrix", "--f", "x1^2-x2^2", "--format", "json"])
     assert rc == EXIT_OK

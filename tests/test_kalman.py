@@ -39,7 +39,7 @@ from kalmanvar.kalman import (
     kalman_matrix_at,
     membership_necessary,
 )
-from kalmanvar.polycore import a_universe, parse_polynomial, x_universe
+from kalmanvar.polycore import Polynomial, a_universe, parse_polynomial, x_universe
 from kalmanvar.polymatrix import (DimensionMismatch, NonSquareMatrix, PolyMatrix, qmat_det, qmat_mul,
                                   qmat_rank)
 from kalmanvar.salmon import kalman_conic_equation
@@ -358,13 +358,14 @@ def test_kalman_det_uncertified_products_match_dict_loop(monkeypatch, form):
         uncertified.append(bound >= 2**62 and out is not None)
         return out
 
+    # the plain Krylov determinant: kalman_det's route has no uncertified
+    # sum on the first form
+    inst, A = KalmanInstance.from_form(f), PolyMatrix.generic(2)
     monkeypatch.setattr(polycore, "_np_mul", counted)
-    monkeypatch.setattr(kalman, "_DET_CACHE", OrderedDict())
-    with_numpy = kalman_det(f)
+    with_numpy = kalman_matrix(inst, A).det()
     assert any(uncertified)
-    monkeypatch.setattr(kalman, "_DET_CACHE", OrderedDict())
     monkeypatch.setattr(polycore, "_np", None)
-    assert kalman_det(f) == with_numpy
+    assert kalman_matrix(inst, A).det() == with_numpy
 
 
 def test_portable_path_matches_numpy_on_a_dehomogenized_conic(monkeypatch):
@@ -451,11 +452,11 @@ class _Reached(Exception):
     ("x1^2 + x2^2 + x3^2 + x4^2", 4, 10),
 ])
 def test_kalman_det_size_limit_edge(monkeypatch, text, n, N):
-    # N <= MAX_DET_N reaches the matrix build; a larger N is rejected first
+    # N <= MAX_DET_N reaches the Krylov-row build; a larger N is rejected first
     def build(*args):
         raise _Reached
 
-    monkeypatch.setattr(kalman, "kalman_matrix", build)
+    monkeypatch.setattr(kalman, "_krylov_rows", build)
     f = parse_polynomial(text, x_universe(n))
     if N <= MAX_DET_N:
         with pytest.raises(_Reached):
@@ -521,6 +522,69 @@ def test_accepted_determinants_fit_the_exponent_field():
     for n, d in accepted:
         # deg det K_d = d * C(N, 2) bounds every exponent of every minor
         a_universe(n).check_product_exponent(d * math.comb(basis_size(n, d), 2))
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "portable"])
+@pytest.mark.parametrize("form,n,fixed,k", [
+    ("x1 + 2*x2 - 3*x3", 3, None, 0),
+    ("x1^2 - 3*x1*x2 + 2*x2^2", 2, None, 1),
+    ("x1^3 + 2*x1*x2^2 - x2^3", 2, None, 2),
+    ("x1^4 + 300*x1*x2^3 - 200*x2^4", 2, None, 2),
+    ("x2^2 - x1*x3", 3, {"a11": 1, "a22": -1, "a33": 1, "a12": 2}, 2),
+    ("x1^5 + 2*x1*x2^4 - x2^5", 2, None, 3),
+])
+def test_kalman_det_identity_matches_the_krylov_determinant(monkeypatch, form, n, fixed, k, numpy):
+    # det K from k rows of rho_d(adj A) and det(A)^E, before normalization so
+    # that a sign slip shows, against the plain Krylov determinant (numpy)
+    inst = KalmanInstance.from_form(parse_polynomial(form, x_universe(n)))
+    assert kalman._inverse_split(n, inst.d)[0] == k
+    A = PolyMatrix.generic(n) if fixed is None else generic_with(fixed)
+    want = kalman_matrix(inst, A).det()
+    if not numpy:
+        monkeypatch.setattr(polycore, "_np", None)
+    assert kalman._kalman_det_of(inst, A) == want
+
+
+def test_kalman_det_of_a_univariate_form_is_one():
+    # n = 1: N = 1 and K = [C], so k is capped at N - 1 = 0
+    f = parse_polynomial("2*x1^3", x_universe(1))
+    assert kalman._inverse_split(1, 3) == (0, 0, 1)
+    assert kalman_det(f) == Polynomial.const(a_universe(1), 1)
+
+
+def test_identity_power_of_det_a_is_at_most_its_multiplicity():
+    # det(A)^E divides det K, so E is at most the multiplicity of det A as a
+    # factor of det K; k maximizes E over 0..N-1
+    accepted = [(n, d) for n in range(1, MAX_DET_N + 1) for d in range(1, MAX_DET_N + 1)
+                if basis_size(n, d) <= MAX_DET_N]
+    for n, d in accepted:
+        N = basis_size(n, d)
+        E = kalman._inverse_split(n, d)[1]
+        assert E == max(j * math.comb(n + d - 1, d - 1) - d * j * (j + 1) // 2
+                        for j in range(N))
+        if n == 1:
+            assert E == 0  # the multiplicity formula needs n >= 2
+        else:
+            assert E <= detA_multiplicity(n, d)
+    assert kalman._inverse_split(2, 6) == (3, 27, -1)
+
+
+def test_kalman_det_reaches_the_five_term_binary_sextic():
+    # det K_6 (N = 7, degree 126) against the determinant of the Kalman
+    # matrix at three seeded rational points M / c, M integral: det K is
+    # homogeneous, so its value there is its value at M over c^126
+    f = parse_polynomial("x1^6 + 2*x1^5*x2 - 3*x1^3*x2^3 + x1*x2^5 - 5*x2^6", x_universe(2))
+    det = kalman_det(f)
+    inst = KalmanInstance.from_form(f)
+    rng = random.Random(6)
+    ratios = set()
+    for _ in range(3):
+        M = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)]
+        c = rng.randint(2, 5)
+        value = Fraction(det.evaluate([x for r in M for x in r]), c ** 126)
+        assert value != 0
+        ratios.add(qmat_det(kalman_matrix_at(inst, [[Fraction(x, c) for x in r] for r in M])) / value)
+    assert len(ratios) == 1 and 0 not in ratios  # the canonical constant
 
 
 def test_kalman_det_rejects_inhomogeneous():
